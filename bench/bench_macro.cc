@@ -6,6 +6,8 @@
 //   vectorized  batch-at-a-time executor (ctx.vectorized)
 //   spill       memory-bounded spilling operators
 //   parallel    the parallel master backend
+//   parallel_vec  the parallel master with a vectorized ctx (batch
+//               pipelines in every slave)
 //   served      the full serving stack (admission control, lifecycle
 //               spans, slow-query log) under 4 concurrent client threads
 //
@@ -432,6 +434,13 @@ int Run(int argc, char** argv) {
                             master.max_slots = 4;
                             return engine.ExecuteParallel(sql, master);
                           }));
+  modes.push_back(RunMode("parallel_vec", config, mix, oracle,
+                          [&](const std::string& sql) {
+                            MasterOptions master;
+                            master.max_slots = 4;
+                            master.ctx.vectorized = true;
+                            return engine.ExecuteParallel(sql, master);
+                          }));
   uint64_t slow_entries = 0;
   int peak_running = 0;
   modes.push_back(RunServedMode(config, &catalog, &model, mix, oracle,
@@ -452,7 +461,7 @@ int Run(int argc, char** argv) {
     const double mode_best = m.best_total_seconds();
     m.speedup_vs_serial = mode_best > 0 ? serial_best / mode_best : 0.0;
     std::printf(
-        "%-10s %5llu queries in %6.3fs  %7.1f q/s  p50=%.2fms p95=%.2fms "
+        "%-12s %5llu queries in %6.3fs  %7.1f q/s  p50=%.2fms p95=%.2fms "
         "p99=%.2fms  speedup=%.2fx  diffs=%llu\n",
         m.name.c_str(), static_cast<unsigned long long>(m.executed),
         m.total_seconds, m.throughput_qps, m.latency_ms.p50, m.latency_ms.p95,

@@ -159,7 +159,8 @@ for key in ("scale", "distribution", "reps", "correctness", "checksums",
             "modes", "served", "overhead"):
     assert key in bench, f"bench_macro: missing {key}"
 modes = {m["name"]: m for m in bench["modes"]}
-for name in ("serial", "vectorized", "spill", "parallel", "served"):
+for name in ("serial", "vectorized", "spill", "parallel", "parallel_vec",
+             "served"):
     assert name in modes, f"bench_macro: missing mode {name}"
     for key in ("executed", "diffs", "total_seconds", "throughput_qps",
                 "p50_ms", "p95_ms", "p99_ms", "speedup_vs_serial",
@@ -263,15 +264,17 @@ ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
 echo "==> [8/10] tsan config (concurrency subset)"
 # ThreadSanitizer catches the races the resilience layer is most exposed
 # to: the cancellation token, the done-queue control loop, the retry
-# ladder re-launching fragment runs, buffer-pool admission counters, and
-# the serving layer's scheduler/session machinery.
+# ladder re-launching fragment runs, buffer-pool admission counters, the
+# serving layer's scheduler/session machinery, and the hash-join tables
+# the slaves of a parallel fragment run build once and probe together
+# (batch_test covers the batch operators those slaves share).
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
 cmake --build build-tsan -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-tsan \
-  -R '(fault|resilience|parallel|master|throttle|obs|obs_concurrency|spill|serve|lifecycle|overload)_test' \
+  -R '(batch|fault|resilience|parallel|master|throttle|obs|obs_concurrency|spill|serve|lifecycle|overload)_test' \
   --output-on-failure -j "${JOBS}"
 
 echo "==> [9/10] fixed-seed chaos smoke (tier1-gated)"

@@ -6,7 +6,8 @@ Usage:
 
 Handles the standing artifacts:
   - BENCH_macro.json (bench_macro): gates per-mode speedup_vs_serial,
-    cross-mode correctness diffs and the workload checksums.
+    cross-mode correctness diffs and the workload checksums. Modes absent
+    from the baseline are printed as "new, not gated".
   - BENCH_exec.json (bench_exec): gates per-workload vectorized speedup.
   - BENCH_serve.json (bench_serve): gates concurrent-vs-oracle diffs and
     peak concurrency exactly, plus the closed-loop throughput *scaling*
@@ -123,6 +124,16 @@ def compare_macro(fresh, base, threshold):
                 f"{fmt_pct(ratio)}: {base_speedup:.3f}x -> "
                 f"{fresh_speedup:.3f}x (threshold {threshold:.0%})")
             explain_macro_mode(name, fresh_mode, base_mode)
+    # A mode the baseline predates has nothing to be compared with until
+    # the baseline is refreshed: report it rather than skip it silently.
+    for name, fresh_mode in fresh_modes.items():
+        if name in base_modes:
+            continue
+        print(f"{name:<12} {'-':>13} "
+              f"{fresh_mode.get('speedup_vs_serial', 0.0):>12.3f}x "
+              f"{'':>8}   {'-':>10} "
+              f"{fresh_mode.get('throughput_qps', 0.0):>10.1f}"
+              "   new, not gated")
 
     overhead = fresh.get("overhead", {}).get("percent")
     if overhead is not None:

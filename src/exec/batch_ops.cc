@@ -30,6 +30,7 @@ BatchSeqScanOp::BatchSeqScanOp(Table* table, ExecContext ctx,
 }
 
 Status BatchSeqScanOp::Open() {
+  ProfTimer timer(owns_node_stats_ ? prof_ : nullptr, &OperatorStats::open_ns);
   next_page_ = 0;
   pages_read_ = 0;
   // Advance to this worker's first page.
@@ -41,6 +42,7 @@ Status BatchSeqScanOp::Open() {
 }
 
 Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
+  ProfTimer timer(owns_node_stats_ ? prof_ : nullptr, &OperatorStats::next_ns);
   *eof = false;
   out->Reset(&table_->schema());
   const uint32_t target = BatchTarget(ctx_);
@@ -88,11 +90,13 @@ BatchFilterOp::BatchFilterOp(std::unique_ptr<BatchOperator> child,
 }
 
 Status BatchFilterOp::Open() {
+  ProfTimer timer(prof_, &OperatorStats::open_ns);
   ProfOpen();
   return child_->Open();
 }
 
 Status BatchFilterOp::NextBatch(ColumnBatch* out, bool* eof) {
+  ProfTimer timer(prof_, &OperatorStats::next_ns);
   *eof = false;
   for (;;) {
     bool child_eof = false;
@@ -128,18 +132,21 @@ void BatchFilterOp::PruneOutputColumns(const std::vector<uint8_t>& needed) {
 BatchHashJoinOp::BatchHashJoinOp(std::unique_ptr<BatchOperator> outer,
                                  std::unique_ptr<BatchOperator> inner,
                                  size_t left_key, size_t right_key,
-                                 ExecContext ctx)
+                                 ExecContext ctx, SharedHashBuild* shared)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
       left_key_(left_key),
       right_key_(right_key),
       ctx_(ctx),
+      shared_(shared),
       schema_(Schema::Concat(outer_->schema(), inner_->schema())) {}
 
 Status BatchHashJoinOp::Open() {
+  ProfTimer timer(prof_, &OperatorStats::open_ns);
   Status st = OpenImpl();
   if (!st.ok()) {
-    table_.clear();
+    own_.index.clear();
+    table_ = nullptr;
     (void)inner_->Close();
     (void)outer_->Close();
   }
@@ -147,11 +154,24 @@ Status BatchHashJoinOp::Open() {
 }
 
 Status BatchHashJoinOp::OpenImpl() {
-  table_.clear();
-  build_.Reset(&inner_->schema());
   probe_pos_ = 0;
   have_probe_ = false;
   outer_done_ = false;
+  if (shared_ != nullptr) {
+    XPRS_ASSIGN_OR_RETURN(table_, shared_->GetOrBuild<Table>(
+                                      [this](Table* t) { return Build(t); }));
+  } else {
+    XPRS_RETURN_IF_ERROR(Build(&own_));
+    table_ = &own_;
+  }
+  ProfOpen();
+  return outer_->Open();
+}
+
+Status BatchHashJoinOp::Build(Table* table) {
+  table->schema = inner_->schema();
+  table->rows.Reset(&table->schema);
+  table->index.clear();
   // Blocking build phase.
   XPRS_RETURN_IF_ERROR(inner_->Open());
   const bool key_is_int =
@@ -166,17 +186,17 @@ Status BatchHashJoinOp::OpenImpl() {
       const uint32_t r = scratch_.ActiveRow(k);
       if (scratch_.IsNullAt(right_key_, r)) continue;  // NULL keys never match
       XPRS_CHECK_MSG(key_is_int, "join key must be int4");
-      table_.emplace(scratch_.IntAt(right_key_, r), build_.size());
-      build_.AppendRowFrom(scratch_, r);
+      table->index.emplace(scratch_.IntAt(right_key_, r), table->rows.size());
+      table->rows.AppendRowFrom(scratch_, r);
     }
   }
   XPRS_RETURN_IF_ERROR(inner_->Close());
-  ProfBuildRows(build_.size());
-  ProfOpen();
-  return outer_->Open();
+  ProfBuildRows(table->rows.size());
+  return Status::OK();
 }
 
 Status BatchHashJoinOp::NextBatch(ColumnBatch* out, bool* eof) {
+  ProfTimer timer(prof_, &OperatorStats::next_ns);
   *eof = false;
   out->Reset(&schema_);
   const uint32_t target = BatchTarget(ctx_);
@@ -189,11 +209,11 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* out, bool* eof) {
         const uint32_t r = probe_.ActiveRow(probe_pos_++);
         if (probe_.IsNullAt(left_key_, r)) continue;  // NULL keys never match
         XPRS_CHECK_MSG(key_is_int, "join key must be int4");
-        auto [lo, hi] = table_.equal_range(probe_.IntAt(left_key_, r));
+        auto [lo, hi] = table_->index.equal_range(probe_.IntAt(left_key_, r));
         const std::vector<uint8_t>* mask =
             emit_mask_.empty() ? nullptr : &emit_mask_;
         for (auto it = lo; it != hi; ++it)
-          out->AppendConcatRow(probe_, r, build_, it->second, mask);
+          out->AppendConcatRow(probe_, r, table_->rows, it->second, mask);
         // A probe row is never split across output batches, so the batch
         // may overshoot the target by one row's match count.
         if (out->size() >= target) {
@@ -222,7 +242,8 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* out, bool* eof) {
 }
 
 Status BatchHashJoinOp::Close() {
-  table_.clear();
+  own_.index.clear();
+  table_ = nullptr;
   return outer_->Close();
 }
 
@@ -255,6 +276,7 @@ BatchAggregateOp::BatchAggregateOp(std::unique_ptr<BatchOperator> child,
 }
 
 Status BatchAggregateOp::Open() {
+  ProfTimer timer(prof_, &OperatorStats::open_ns);
   Status st = OpenImpl();
   if (!st.ok()) (void)child_->Close();
   return st;
@@ -341,6 +363,7 @@ Status BatchAggregateOp::OpenImpl() {
 }
 
 Status BatchAggregateOp::NextBatch(ColumnBatch* out, bool* eof) {
+  ProfTimer timer(prof_, &OperatorStats::next_ns);
   *eof = false;
   out->Reset(&schema_);
   const uint32_t target = BatchTarget(ctx_);
@@ -520,10 +543,14 @@ StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
       XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> inner,
                             BuildBatchTree(*node.right, ctx, 1, 0, false,
                                            hooks));
-      auto op = std::make_unique<BatchHashJoinOp>(std::move(outer),
-                                                  std::move(inner),
-                                                  node.left_key,
-                                                  node.right_key, ctx);
+      // The inner is never partitioned, so every slave of a parallel run
+      // would build the same table: they share one.
+      SharedHashBuild* shared = ctx.shared_builds != nullptr
+                                    ? ctx.shared_builds->For(&node)
+                                    : nullptr;
+      auto op = std::make_unique<BatchHashJoinOp>(
+          std::move(outer), std::move(inner), node.left_key, node.right_key,
+          ctx, shared);
       op->set_profile_stats(stats);
       return std::unique_ptr<BatchOperator>(std::move(op));
     }

@@ -86,6 +86,28 @@ class BatchOperator {
     }
   }
 
+  /// Adds the wall time of its scope to one of the node's inclusive timers
+  /// (open_ns / next_ns): two clock reads per Open or NextBatch call when
+  /// `stats` is set, nothing otherwise. Batch operators time themselves —
+  /// the builders insert no timing decorator into a batch pipeline.
+  class ProfTimer {
+   public:
+    ProfTimer(OperatorStats* stats,
+              std::atomic<uint64_t> OperatorStats::*timer)
+        : timer_(stats != nullptr ? &(stats->*timer) : nullptr),
+          t0_(timer_ != nullptr ? ProfileNowNs() : 0) {}
+    ~ProfTimer() {
+      if (timer_ != nullptr)
+        timer_->fetch_add(ProfileNowNs() - t0_, std::memory_order_relaxed);
+    }
+    ProfTimer(const ProfTimer&) = delete;
+    ProfTimer& operator=(const ProfTimer&) = delete;
+
+   private:
+    std::atomic<uint64_t>* const timer_;
+    const uint64_t t0_;
+  };
+
   OperatorStats* prof_ = nullptr;
 };
 
@@ -104,7 +126,7 @@ class BatchSeqScanOp : public BatchOperator {
   const Schema& schema() const override { return table_->schema(); }
 
   /// When a BatchFilterOp above this scan owns the plan node's stats
-  /// (opens / tuples_out), the scan contributes only pages_read.
+  /// (opens / tuples_out / times), the scan contributes only pages_read.
   void set_owns_node_stats(bool owns) { owns_node_stats_ = owns; }
 
   /// Masked-out columns are parsed past but not decoded (no int store,
@@ -150,35 +172,46 @@ class BatchFilterOp : public BatchOperator {
 /// Batched hash join: drains the inner (build) input batch-at-a-time into
 /// a column store plus a key -> row-index table on Open, then streams
 /// probe batches from the outer input, emitting concatenated match rows.
-/// NULL keys never match. Both join key columns must be int4.
+/// NULL keys never match. Both join key columns must be int4. With
+/// `shared` set, the table is built once into it and probed by every
+/// operator holding the same SharedHashBuild (parallel slaves).
 class BatchHashJoinOp : public BatchOperator {
  public:
   BatchHashJoinOp(std::unique_ptr<BatchOperator> outer,
                   std::unique_ptr<BatchOperator> inner, size_t left_key,
-                  size_t right_key, ExecContext ctx);
+                  size_t right_key, ExecContext ctx,
+                  SharedHashBuild* shared = nullptr);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* out, bool* eof) override;
   Status Close() override;
   const Schema& schema() const override { return schema_; }
 
-  size_t build_rows() const { return build_.size(); }
-
   /// Emits only the needed columns of each match row; children are asked
   /// for the needed slice plus their join key.
   void PruneOutputColumns(const std::vector<uint8_t>& needed) override;
 
  private:
+  /// The build side. Owns its schema, so a shared table stays readable
+  /// after the operators of the slave that built it are gone.
+  struct Table {
+    Schema schema;
+    ColumnBatch rows;                                  ///< dense column store
+    std::unordered_multimap<int32_t, uint32_t> index;  ///< key -> row
+  };
+
   Status OpenImpl();
+  Status Build(Table* table);
 
   std::unique_ptr<BatchOperator> outer_;
   std::unique_ptr<BatchOperator> inner_;
   const size_t left_key_, right_key_;
   const ExecContext ctx_;
+  SharedHashBuild* const shared_;
   Schema schema_;
 
-  ColumnBatch build_;  ///< dense column store of the build side
-  std::unordered_multimap<int32_t, uint32_t> table_;  ///< key -> build row
+  Table own_;                     ///< private table when not shared
+  const Table* table_ = nullptr;  ///< own_ or the shared table
   ColumnBatch scratch_;  ///< build-drain scratch batch
   ColumnBatch probe_;
   uint32_t probe_pos_ = 0;

@@ -352,8 +352,14 @@ StatusOr<std::unique_ptr<Operator>> BuildFrag(
                                                node->left_key,
                                                node->right_key, ctx.spill);
       } else {
+        // The inner is never partitioned, so every slave of a parallel
+        // run would build the same table: they share one.
+        SharedHashBuild* shared = ctx.shared_builds != nullptr
+                                      ? ctx.shared_builds->For(node)
+                                      : nullptr;
         op = std::make_unique<HashJoinOp>(std::move(outer), std::move(inner),
-                                          node->left_key, node->right_key);
+                                          node->left_key, node->right_key,
+                                          shared);
       }
       break;
     }

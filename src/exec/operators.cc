@@ -251,11 +251,12 @@ Status NestLoopJoinOp::Close() {
 
 HashJoinOp::HashJoinOp(std::unique_ptr<Operator> outer,
                        std::unique_ptr<Operator> inner, size_t left_key,
-                       size_t right_key)
+                       size_t right_key, SharedHashBuild* shared)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
       left_key_(left_key),
       right_key_(right_key),
+      shared_(shared),
       schema_(Schema::Concat(outer_->schema(), inner_->schema())) {}
 
 Status HashJoinOp::Open() {
@@ -264,7 +265,8 @@ Status HashJoinOp::Open() {
     // A failed build must not leak the open inner child (or its pinned
     // buffer frames): Drain and the blocking consumers above skip Close
     // after a failed Open. Closes are tolerant of never-opened children.
-    table_.clear();
+    own_.clear();
+    table_ = nullptr;
     (void)inner_->Close();
     (void)outer_->Close();
   }
@@ -272,9 +274,19 @@ Status HashJoinOp::Open() {
 }
 
 Status HashJoinOp::OpenImpl() {
-  table_.clear();
-  build_rows_ = 0;
   probing_ = false;
+  if (shared_ != nullptr) {
+    XPRS_ASSIGN_OR_RETURN(table_, shared_->GetOrBuild<Table>(
+                                      [this](Table* t) { return Build(t); }));
+  } else {
+    own_.clear();
+    XPRS_RETURN_IF_ERROR(Build(&own_));
+    table_ = &own_;
+  }
+  return outer_->Open();
+}
+
+Status HashJoinOp::Build(Table* table) {
   // Blocking build phase.
   XPRS_RETURN_IF_ERROR(inner_->Open());
   for (;;) {
@@ -284,12 +296,11 @@ Status HashJoinOp::OpenImpl() {
     if (eof) break;
     int32_t key;
     if (!GetKey(tuple, right_key_, &key)) continue;
-    table_.emplace(key, std::move(tuple));
-    ++build_rows_;
+    table->emplace(key, std::move(tuple));
   }
   XPRS_RETURN_IF_ERROR(inner_->Close());
-  ProfBuildRows(build_rows_);
-  return outer_->Open();
+  ProfBuildRows(table->size());
+  return Status::OK();
 }
 
 Status HashJoinOp::Next(Tuple* out, bool* eof) {
@@ -309,7 +320,7 @@ Status HashJoinOp::Next(Tuple* out, bool* eof) {
     }
     int32_t key;
     if (!GetKey(outer_tuple_, left_key_, &key)) continue;
-    auto [lo, hi] = table_.equal_range(key);
+    auto [lo, hi] = table_->equal_range(key);
     match_ = lo;
     match_end_ = hi;
     probing_ = true;
@@ -317,7 +328,8 @@ Status HashJoinOp::Next(Tuple* out, bool* eof) {
 }
 
 Status HashJoinOp::Close() {
-  table_.clear();
+  own_.clear();
+  table_ = nullptr;
   return outer_->Close();
 }
 

@@ -16,6 +16,7 @@
 #include "exec/expr.h"
 #include "exec/plan.h"
 #include "exec/profile.h"
+#include "exec/shared_build.h"
 #include "resilience/retry.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
@@ -63,6 +64,10 @@ struct ExecContext {
   bool vectorized = false;
   /// Target rows per ColumnBatch on the vectorized path.
   size_t batch_rows = 1024;
+  /// Hash-join builds shared by every slave of one parallel fragment run;
+  /// set by ParallelFragmentRun on its slaves' context. Null elsewhere:
+  /// each join then builds a private table.
+  SharedHashBuilds* shared_builds = nullptr;
 };
 
 /// Base iterator.
@@ -215,26 +220,31 @@ class NestLoopJoinOp : public Operator {
 /// Open — a blocking edge — then pipelines the outer probe side.
 class HashJoinOp : public Operator {
  public:
+  /// With `shared` set, the table is built once into it and probed by
+  /// every operator holding the same SharedHashBuild (parallel slaves).
   HashJoinOp(std::unique_ptr<Operator> outer, std::unique_ptr<Operator> inner,
-             size_t left_key, size_t right_key);
+             size_t left_key, size_t right_key,
+             SharedHashBuild* shared = nullptr);
   Status Open() override;
   Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   const Schema& schema() const override { return schema_; }
 
-  size_t build_rows() const { return build_rows_; }
-
  private:
+  using Table = std::unordered_multimap<int32_t, Tuple>;
+
   Status OpenImpl();
+  Status Build(Table* table);
 
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;
   const size_t left_key_, right_key_;
+  SharedHashBuild* const shared_;
   Schema schema_;
-  std::unordered_multimap<int32_t, Tuple> table_;
-  size_t build_rows_ = 0;
+  Table own_;                      ///< private table when not shared
+  const Table* table_ = nullptr;   ///< own_ or the shared table
   Tuple outer_tuple_;
-  std::unordered_multimap<int32_t, Tuple>::const_iterator match_, match_end_;
+  Table::const_iterator match_, match_end_;
   bool probing_ = false;
 };
 

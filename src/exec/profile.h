@@ -5,7 +5,8 @@
 // spill bytes, predicate-eval time) into the shared stats through a single
 // nullable pointer — profiling off costs one pointer test per hook — while
 // a timing decorator (inserted by the plan builders only when a profile is
-// attached) measures inclusive Open/Next/Close wall time per node. All
+// attached) measures inclusive Open/Next/Close wall time per node; batch
+// operators time their own Open/NextBatch instead. All
 // actual counters are atomics because every slave backend of a parallel
 // fragment runs its own pipeline copy against the *same* per-plan-node
 // stats.

@@ -54,6 +54,8 @@ ParallelFragmentRun::~ParallelFragmentRun() {
 
 StatusOr<std::unique_ptr<Operator>> ParallelFragmentRun::BuildPipeline(
     int slot) {
+  ExecContext ctx = options_.ctx;
+  ctx.shared_builds = &shared_builds_;
   DrivingLeafFactory factory =
       [this, slot](const PlanNode* leaf) -> StatusOr<std::unique_ptr<Operator>> {
     if (driving_is_temp_) {
@@ -77,8 +79,8 @@ StatusOr<std::unique_ptr<Operator>> ParallelFragmentRun::BuildPipeline(
                                             slot),
         leaf, options_.ctx.profile);
   };
-  return BuildFragmentOperatorsWithDriver(*graph_, frag_id_, inputs_,
-                                          options_.ctx, factory);
+  return BuildFragmentOperatorsWithDriver(*graph_, frag_id_, inputs_, ctx,
+                                          factory);
 }
 
 void ParallelFragmentRun::SlaveMain(int slot) {

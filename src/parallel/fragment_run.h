@@ -9,7 +9,9 @@
 //   - materialized input       -> page partitioning over tuple batches
 //
 // Every slave runs its own copy of the pipeline; the pipelines share the
-// partition state, the buffer pool and the disk array (shared memory).
+// partition state, the buffer pool, the disk array (shared memory) and one
+// read-only table per hash join, built once by the first slave to open it
+// (exec/shared_build.h).
 // Worker outputs are concatenated; fragments rooted at a Sort re-sort the
 // concatenation so the fragment's contract (sorted output) holds.
 
@@ -89,6 +91,9 @@ class ParallelFragmentRun {
   const PlanNode* driving_leaf_ = nullptr;
   bool driving_is_temp_ = false;
   uint32_t total_granules_ = 0;
+
+  // The run's hash-join tables; a re-created run builds afresh.
+  SharedHashBuilds shared_builds_;
 
   // Wall-clock bounds (ProfileNowNs) for the profile's FragmentStats:
   // Start() to last-slave-finished.

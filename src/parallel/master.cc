@@ -35,6 +35,11 @@ ParallelMaster::ParallelMaster(const MachineConfig& machine,
   XPRS_CHECK(model != nullptr);
 }
 
+int ParallelMaster::Degree(double parallelism) const {
+  return std::clamp(static_cast<int>(std::llround(parallelism)), 1,
+                    std::max(1, options_.max_slots));
+}
+
 double ParallelMaster::Now() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start_)
@@ -58,8 +63,8 @@ void ParallelMaster::LaunchRun(TaskId id, int parallelism, bool notify) {
   QueryState& query = queries_[task.query_index];
 
   ParallelFragmentRun::Options run_options;
-  run_options.initial_parallelism = parallelism;
-  run_options.max_slots = std::max(options_.max_slots, parallelism);
+  run_options.initial_parallelism = parallelism;  // Degree()-clamped
+  run_options.max_slots = std::max(1, options_.max_slots);
   run_options.ctx = options_.ctx;
 
   task.run = std::make_unique<ParallelFragmentRun>(
@@ -82,7 +87,7 @@ void ParallelMaster::StartTask(TaskId id, double parallelism) {
   XPRS_CHECK(task.run == nullptr);
   QueryState& query = queries_[task.query_index];
 
-  task.parallelism = std::max(1, static_cast<int>(std::llround(parallelism)));
+  task.parallelism = Degree(parallelism);
   task.failures = 0;
   if (options_.obs.tracing()) {
     options_.obs.Emit(
@@ -104,7 +109,7 @@ void ParallelMaster::StartTask(TaskId id, double parallelism) {
 void ParallelMaster::AdjustParallelism(TaskId id, double parallelism) {
   TaskState& task = tasks_.at(id);
   XPRS_CHECK(task.run != nullptr);
-  const int target = std::max(1, static_cast<int>(std::llround(parallelism)));
+  const int target = Degree(parallelism);
   task.parallelism = target;  // retries re-dispatch at the adjusted degree
   task.run->Adjust(target);
   if (options_.obs.tracing()) {

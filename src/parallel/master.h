@@ -8,10 +8,11 @@
 // the running fragment, and fragment completions feed back into the
 // scheduler, which re-pairs and re-balances.
 //
-// On this container (a single hardware core) the wall-clock numbers carry
-// no performance meaning — the fluid simulator is the performance
-// substrate (DESIGN.md) — but the full control loop, including dynamic
-// adjustment under concurrency, is exercised for real.
+// The slaves are real threads on the host's cores: a real run describes
+// the host with MachineConfig::num_cpus = nproc (perfbench does), and
+// MasterOptions::max_slots caps every fragment run. Only the figure
+// benches, which run the scheduler inside the fluid simulator, use the
+// paper's machine (DESIGN.md).
 
 #ifndef XPRS_PARALLEL_MASTER_H_
 #define XPRS_PARALLEL_MASTER_H_
@@ -59,7 +60,8 @@ struct MasterRunResult {
 struct MasterOptions {
   SchedulerOptions sched;
   ExecContext ctx;
-  /// Upper bound on slave slots per fragment run.
+  /// Upper bound on slave slots per fragment run: the scheduler's
+  /// commanded degrees (start, adjustment, retry) are clamped to it.
   int max_slots = 16;
   /// Trace/metrics publishing for the run (fragment spans, adjustment
   /// events); also handed to the internal scheduler. Optional.
@@ -117,6 +119,9 @@ class ParallelMaster : public ExecutionEnv {
   /// Task ids are query_index * kTaskIdStride + fragment id.
   static constexpr TaskId kTaskIdStride = 1000;
 
+  /// A commanded degree of parallelism, rounded and clamped to
+  /// [1, max_slots].
+  int Degree(double parallelism) const;
   /// Materialized inputs from the task's completed dependency fragments.
   std::map<int, const TempResult*> GatherInputs(const TaskState& task);
   /// (Re-)creates and starts the task's ParallelFragmentRun at

@@ -165,9 +165,11 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
   };
 
   // The closure owns the token (keeps it alive past a dropped handle) and
-  // shapes execution around the scheduler's grant. With the slow-query
-  // log armed, every statement runs through EXPLAIN ANALYZE so an entry
-  // can name the operators the time went to.
+  // shapes execution around the scheduler's grant. Every grant — serial,
+  // parallel or degraded to spill — runs the batch engine; subtrees it
+  // cannot build (index scans, spilling operators) fall back to the tuple
+  // operators. With the slow-query log armed, every statement runs through
+  // EXPLAIN ANALYZE so an entry can name the operators the time went to.
   const bool allow_parallel = options.allow_parallel;
   const TreeShape shape = options.shape;
   const bool profiled = slow_log_.enabled();
@@ -178,6 +180,7 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
                  session_id](const ExecGrant& grant) -> StatusOr<SqlResult> {
     auto run_once = [&]() -> StatusOr<SqlResult> {
       ExecContext ctx;
+      ctx.vectorized = true;
       ctx.cancel = grant.cancel;
       ctx.obs = options_.serve.obs;
       if (pool_ != nullptr) {

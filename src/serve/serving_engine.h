@@ -7,10 +7,11 @@
 // server process would own once — the buffer pool (with a soft pin limit
 // so concurrent queries backpressure instead of deadlocking on frames),
 // the spill disk for degraded queries, and the scheduler's worker pool —
-// and hands each admitted query an ExecContext assembled from its grant:
-// serial execution at parallelism 1, the parallel master at higher
-// degrees, spilling operators when the scheduler degraded the query to
-// fit the memory budget.
+// and hands each admitted query a vectorized ExecContext assembled from
+// its grant: serial execution at parallelism 1, the parallel master at
+// higher degrees, spilling operators when the scheduler degraded the query
+// to fit the memory budget. Every grant runs the batch engine, falling
+// back to tuple operators only for the subtrees it cannot build.
 //
 // Sessions are cheap handles: they carry fair-share weight and priority,
 // track their in-flight queries, and can cancel them in one call. Each

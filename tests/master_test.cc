@@ -180,6 +180,33 @@ TEST_F(MasterTest, ThrottledDisksStillCorrect) {
   EXPECT_GT(slow.total_stats().busy_seconds, 0.0);
 }
 
+TEST_F(MasterTest, MaxSlotsCapsEveryFragmentRun) {
+  // The scheduler sees 8 CPUs and may command up to 8 slaves per fragment;
+  // max_slots = 2 (a served grant of 2) must cap every run anyway.
+  MachineConfig machine = MachineConfig::PaperConfig();
+  machine.num_cpus = 8;
+  auto q = MakeAggregate(MakeHashJoin(MakeSeqScan(big_, Predicate()),
+                                      MakeSeqScan(small_, Predicate()), 0, 0),
+                         AggFunc::kCount, 0, -1);
+  QueryProfile profile(q.get());
+  MasterOptions options;
+  options.max_slots = 2;
+  options.ctx.profile = &profile;
+  ParallelMaster master(machine, &model_, options);
+  auto result = master.Run({{q.get(), 1}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  auto expected = ExecutePlanSequential(*q, ExecContext());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(Normalize(result->query_results.at(1)), Normalize(*expected));
+  const std::vector<FragmentStats> frags = profile.fragments();
+  ASSERT_EQ(frags.size(), FragmentGraph::Decompose(*q).fragments().size());
+  for (const FragmentStats& f : frags) {
+    EXPECT_LE(f.slaves_spawned, 2) << f.root_label;
+    EXPECT_LE(f.initial_parallelism, 2) << f.root_label;
+  }
+}
+
 TEST_F(MasterTest, SharedBufferPoolAcrossBackends) {
   BufferPool pool(array_.get(), 256);
   MasterOptions options;

@@ -18,6 +18,7 @@
 #include "parallel/fragment_run.h"
 #include "parallel/page_partition.h"
 #include "parallel/range_partition.h"
+#include "sql/engine.h"
 #include "storage/catalog.h"
 #include "util/rng.h"
 
@@ -234,6 +235,7 @@ class FragmentRunTest : public ::testing::Test {
     }
     ASSERT_TRUE(s_->file().Flush().ok());
     ASSERT_TRUE(s_->BuildIndex(0).ok());
+    ASSERT_TRUE(s_->ComputeStats().ok());
   }
 
   static std::multiset<std::string> Normalize(const std::vector<Tuple>& rows) {
@@ -351,6 +353,81 @@ TEST_F(FragmentRunTest, HashJoinPlanViaParallelFragments) {
   auto expected = ExecutePlanSequential(*plan, ctx_);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(Normalize(probe_result->tuples), Normalize(*expected));
+}
+
+// Shared hash build: the slaves of one fragment run probe one table, so a
+// parallel EXPLAIN ANALYZE counts exactly the serial build rows.
+TEST_F(FragmentRunTest, ParallelHashJoinBuildsOnceLikeSerial) {
+  CostModel model;
+  SqlEngine engine(catalog_.get(), MachineConfig::PaperConfig(), &model);
+  const char* sql = "SELECT r.a, s.b FROM r, s WHERE r.a = s.a";
+  for (bool vectorized : {false, true}) {
+    SCOPED_TRACE(vectorized ? "vectorized" : "tuple");
+    ExecContext ctx = ctx_;
+    ctx.vectorized = vectorized;
+    auto serial = engine.ExplainAnalyze(sql, ctx);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    MasterOptions master;
+    master.ctx = ctx;
+    master.max_slots = 4;
+    auto parallel = engine.ExplainAnalyzeParallel(sql, master);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_EQ(Normalize(parallel->rows), Normalize(serial->rows));
+
+    const auto& sops = serial->profile->operators();
+    const auto& pops = parallel->profile->operators();
+    ASSERT_EQ(sops.size(), pops.size());
+    int joins = 0;
+    for (size_t i = 0; i < sops.size(); ++i) {
+      if (sops[i]->kind != PlanKind::kHashJoin) continue;
+      ++joins;
+      EXPECT_GT(sops[i]->build_rows.load(), 0u);
+      EXPECT_EQ(pops[i]->build_rows.load(), sops[i]->build_rows.load())
+          << pops[i]->label;
+    }
+    EXPECT_EQ(joins, 1);
+    // The probe ran with several slaves, so a per-slave build would show.
+    int max_slaves = 0;
+    for (const FragmentStats& f : parallel->profile->fragments())
+      max_slaves = std::max(max_slaves, f.slaves_spawned);
+    EXPECT_GT(max_slaves, 1);
+  }
+}
+
+TEST_F(FragmentRunTest, SharedBuildSurvivesAdjustmentsMidProbe) {
+  auto plan = MakeHashJoin(MakeSeqScan(r_, Predicate()),
+                           MakeSeqScan(s_, Predicate()), 0, 0);
+  FragmentGraph graph = FragmentGraph::Decompose(*plan);
+  const int build_id = graph.fragment(graph.root_fragment()).deps[0];
+  auto expected = ExecutePlanSequential(*plan, ctx_);
+  ASSERT_TRUE(expected.ok());
+
+  for (bool vectorized : {false, true}) {
+    SCOPED_TRACE(vectorized ? "vectorized" : "tuple");
+    QueryProfile profile(plan.get());
+    ParallelFragmentRun::Options opts;
+    opts.initial_parallelism = 4;
+    opts.max_slots = 8;
+    opts.ctx = ctx_;
+    opts.ctx.vectorized = vectorized;
+    opts.ctx.profile = &profile;
+    ParallelFragmentRun build(&graph, build_id, {}, opts);
+    ASSERT_TRUE(build.Start().ok());
+    auto build_result = build.Wait();
+    ASSERT_TRUE(build_result.ok());
+
+    std::map<int, const TempResult*> inputs{{build_id, &build_result.value()}};
+    ParallelFragmentRun probe(&graph, graph.root_fragment(), inputs, opts);
+    ASSERT_TRUE(probe.Start().ok());
+    probe.Adjust(8);
+    probe.Adjust(1);
+    probe.Adjust(6);
+    auto probe_result = probe.Wait();
+    ASSERT_TRUE(probe_result.ok()) << probe_result.status().ToString();
+
+    EXPECT_EQ(Normalize(probe_result->tuples), Normalize(*expected));
+    EXPECT_EQ(profile.StatsFor(plan.get())->build_rows.load(), 400u);
+  }
 }
 
 TEST_F(FragmentRunTest, TempDrivenFragmentPartitionsBatches) {

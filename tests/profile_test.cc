@@ -107,6 +107,28 @@ TEST_F(ProfileTest, ProfilingDoesNotChangeResults) {
   }
 }
 
+TEST_F(ProfileTest, VectorizedExplainAnalyzeTimesEveryBatchOperator) {
+  // Aggregate <- HashJoin <- {filtered scan, bare scan}: every node runs as
+  // a batch operator (BatchFilterOp owns the filtered scan's node).
+  ExecContext ctx;
+  ctx.vectorized = true;
+  auto r = engine_->ExplainAnalyze(
+      "SELECT count(o.a) FROM orders o, custs c "
+      "WHERE o.a = c.a AND c.a < 10",
+      ctx);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(std::get<int32_t>(r->rows[0].value(0)), 30);
+  const auto& ops = r->profile->operators();
+  ASSERT_EQ(ops.size(), 4u);
+  const OperatorStats& root = *ops.front();
+  EXPECT_EQ(root.kind, PlanKind::kAggregate);
+  for (const auto& op : ops) {
+    EXPECT_GT(op->open_ns.load() + op->next_ns.load(), 0u) << op->label;
+    // Inclusive times nest: the root's covers every operator below it.
+    EXPECT_GE(root.inclusive_seconds(), op->inclusive_seconds()) << op->label;
+  }
+}
+
 TEST_F(ProfileTest, InlineExplainAnalyzePrefixProfiles) {
   auto r = engine_->Execute("EXPLAIN ANALYZE SELECT count(a) FROM custs");
   ASSERT_TRUE(r.ok()) << r.status().ToString();

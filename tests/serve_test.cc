@@ -379,6 +379,65 @@ TEST_F(ServingEngineTest, ConcurrentMixedQueriesMatchSerialOracle) {
       << "serving never overlapped two queries";
 }
 
+TEST_F(ServingEngineTest, EveryGrantKindMatchesSerialTupleOracle) {
+  // Served queries run the batch engine under every grant: serial,
+  // parallel (the master, sharing hash builds across slaves) and degraded
+  // to spill. Each must reproduce the serial tuple engine's rows.
+  const std::vector<std::string> queries = {
+      "SELECT * FROM custs WHERE a BETWEEN 10 AND 19",
+      "SELECT count(a) FROM orders",
+      "SELECT o.a, c.b FROM orders o, custs c WHERE o.a = c.a AND c.a < 25",
+      "SELECT count(o.a) FROM orders o, custs c WHERE o.a = c.a",
+      "SELECT max(a) FROM custs WHERE a < 50",
+  };
+  std::vector<std::multiset<std::string>> expected;
+  for (const std::string& sql : queries) {
+    auto r = oracle_->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    expected.push_back(Canon(r->rows));
+  }
+
+  enum class Grant { kSerial, kParallel, kSpill };
+  for (Grant grant : {Grant::kSerial, Grant::kParallel, Grant::kSpill}) {
+    SCOPED_TRACE(static_cast<int>(grant));
+    MetricsRegistry metrics;
+    ServingEngine::Options options;
+    options.serve.max_concurrent = 1;  // alone: the widest grant
+    options.serve.obs.metrics = &metrics;
+    options.serve.machine.num_cpus = grant == Grant::kParallel ? 4 : 1;
+    // Queries needing working memory (joins) can never fit: degraded.
+    if (grant == Grant::kSpill) options.serve.memory_pages_budget = 1e-6;
+    options.buffer_pool_frames = 64;
+    auto engine = MakeEngine(std::move(options));
+    auto session = engine->OpenSession();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto result = session->Execute(queries[q]);
+      ASSERT_TRUE(result.ok()) << queries[q] << ": "
+                               << result.status().ToString();
+      EXPECT_EQ(Canon(result->rows), expected[q]) << queries[q];
+    }
+    engine->CloseSession(session);
+    ASSERT_TRUE(engine->Drain().ok());
+    const uint64_t parallel_runs =
+        metrics.counter("parallel.fragments_started")->value();
+    const uint64_t degraded = metrics.counter("serve.degraded")->value();
+    switch (grant) {
+      case Grant::kSerial:
+        EXPECT_EQ(parallel_runs, 0u);
+        EXPECT_EQ(degraded, 0u);
+        break;
+      case Grant::kParallel:
+        EXPECT_GT(parallel_runs, 0u);
+        EXPECT_EQ(degraded, 0u);
+        break;
+      case Grant::kSpill:
+        EXPECT_EQ(parallel_runs, 0u);
+        EXPECT_GT(degraded, 0u);
+        break;
+    }
+  }
+}
+
 TEST_F(ServingEngineTest, ZeroPinnedFramesAndZeroSessionsAfterDrain) {
   ServingEngine::Options options;
   options.serve.max_concurrent = 3;

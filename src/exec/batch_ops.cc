@@ -31,12 +31,8 @@ BatchSeqScanOp::BatchSeqScanOp(Table* table, ExecContext ctx,
 
 Status BatchSeqScanOp::Open() {
   ProfTimer timer(owns_node_stats_ ? prof_ : nullptr, &OperatorStats::open_ns);
-  next_page_ = 0;
   pages_read_ = 0;
-  // Advance to this worker's first page.
-  while (next_page_ < table_->file().num_pages() &&
-         static_cast<int>(next_page_ % num_partitions_) != partition_index_)
-    ++next_page_;
+  cursor_.Open(&table_->file(), &ctx_, num_partitions_, partition_index_);
   if (owns_node_stats_) ProfOpen();
   return Status::OK();
 }
@@ -46,21 +42,11 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
   *eof = false;
   out->Reset(&table_->schema());
   const uint32_t target = BatchTarget(ctx_);
-  while (out->size() < target && next_page_ < table_->file().num_pages()) {
-    if (ctx_.cancel != nullptr) XPRS_RETURN_IF_ERROR(ctx_.cancel->Check());
+  while (out->size() < target && !cursor_.done()) {
     // The pin (when pooled) lives exactly as long as this page's decode.
     PageHandle handle;
     const Page* page;
-    if (ctx_.pool != nullptr) {
-      XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(next_page_));
-      auto fetched = FetchWithBackpressure(ctx_, block);
-      if (!fetched.ok()) return fetched.status();
-      handle = std::move(fetched).value();
-      page = &handle.page();
-    } else {
-      XPRS_RETURN_IF_ERROR(table_->file().ReadPage(next_page_, &direct_page_));
-      page = &direct_page_;
-    }
+    XPRS_RETURN_IF_ERROR(cursor_.Load(&handle, &direct_page_, &page));
     ++pages_read_;
     ProfPagesRead(1);
     const uint16_t n = page->num_tuples();
@@ -71,13 +57,18 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
       XPRS_RETURN_IF_ERROR(out->AppendSerializedTuple(
           data, size, decode_mask_.empty() ? nullptr : &decode_mask_));
     }
-    next_page_ += num_partitions_;
+    cursor_.Advance();
   }
   if (out->size() == 0) {
     *eof = true;
     return Status::OK();
   }
   if (owns_node_stats_) ProfRowsOut(out->size());
+  return Status::OK();
+}
+
+Status BatchSeqScanOp::Close() {
+  cursor_.Close();
   return Status::OK();
 }
 

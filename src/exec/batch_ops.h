@@ -113,9 +113,10 @@ class BatchOperator {
 
 /// Batched sequential scan: decodes whole heap pages straight into columns
 /// (no per-tuple Tuple/Value materialization) until the batch reaches
-/// ctx.batch_rows. Supports the same static page partitioning as SeqScanOp
-/// and polls ctx.cancel once per page. Pins are held one page at a time —
-/// never across NextBatch calls.
+/// ctx.batch_rows. Shares SeqScanOp's page order (exec/scan_cursor.h):
+/// static page partitioning, or a synchronized, read-ahead serial scan over
+/// a pool. Polls ctx.cancel once per page. Pins are held one page at a
+/// time — never across NextBatch calls.
 class BatchSeqScanOp : public BatchOperator {
  public:
   BatchSeqScanOp(Table* table, ExecContext ctx, int num_partitions = 1,
@@ -123,6 +124,8 @@ class BatchSeqScanOp : public BatchOperator {
 
   Status Open() override;
   Status NextBatch(ColumnBatch* out, bool* eof) override;
+  /// Leaves the file's live-scan registry (idempotent).
+  Status Close() override;
   const Schema& schema() const override { return table_->schema(); }
 
   /// When a BatchFilterOp above this scan owns the plan node's stats
@@ -143,7 +146,7 @@ class BatchSeqScanOp : public BatchOperator {
   const int num_partitions_;
   const int partition_index_;
 
-  uint32_t next_page_ = 0;
+  ScanCursor cursor_;
   uint64_t pages_read_ = 0;
   Page direct_page_;  // used when no buffer pool
   bool owns_node_stats_ = true;

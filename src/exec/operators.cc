@@ -38,41 +38,12 @@ SeqScanOp::SeqScanOp(Table* table, Predicate predicate, ExecContext ctx,
 }
 
 Status SeqScanOp::Open() {
-  next_page_ = 0;
   next_slot_ = 0;
   page_loaded_ = false;
   pages_read_ = 0;
   current_ = nullptr;
   pooled_page_.Release();
-  // Advance to this worker's first page.
-  while (next_page_ < table_->file().num_pages() &&
-         static_cast<int>(next_page_ % num_partitions_) != partition_index_)
-    ++next_page_;
-  return Status::OK();
-}
-
-Status SeqScanOp::LoadPage(uint32_t page_index) {
-  if (ctx_.cancel != nullptr) {
-    Status live = ctx_.cancel->Check();
-    if (!live.ok()) {
-      pooled_page_.Release();
-      return live;
-    }
-  }
-  if (ctx_.pool != nullptr) {
-    XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(page_index));
-    auto handle = FetchWithBackpressure(ctx_, block);
-    if (!handle.ok()) return handle.status();
-    pooled_page_ = std::move(handle).value();
-    current_ = &pooled_page_.page();
-  } else {
-    XPRS_RETURN_IF_ERROR(table_->file().ReadPage(page_index, &direct_page_));
-    current_ = &direct_page_;
-  }
-  ++pages_read_;
-  ProfPagesRead(1);
-  page_loaded_ = true;
-  next_slot_ = 0;
+  cursor_.Open(&table_->file(), &ctx_, num_partitions_, partition_index_);
   return Status::OK();
 }
 
@@ -80,6 +51,7 @@ Status SeqScanOp::Close() {
   pooled_page_ = PageHandle();
   current_ = nullptr;
   page_loaded_ = false;
+  cursor_.Close();
   return Status::OK();
 }
 
@@ -87,11 +59,16 @@ Status SeqScanOp::Next(Tuple* out, bool* eof) {
   *eof = false;
   for (;;) {
     if (!page_loaded_) {
-      if (next_page_ >= table_->file().num_pages()) {
+      if (cursor_.done()) {
         *eof = true;
         return Status::OK();
       }
-      XPRS_RETURN_IF_ERROR(LoadPage(next_page_));
+      XPRS_RETURN_IF_ERROR(
+          cursor_.Load(&pooled_page_, &direct_page_, &current_));
+      ++pages_read_;
+      ProfPagesRead(1);
+      page_loaded_ = true;
+      next_slot_ = 0;
     }
     while (next_slot_ < current_->num_tuples()) {
       const uint8_t* data;
@@ -105,10 +82,10 @@ Status SeqScanOp::Next(Tuple* out, bool* eof) {
         return Status::OK();
       }
     }
-    // Page exhausted: step to this worker's next page.
+    // Page exhausted: step to this scan's next page.
     page_loaded_ = false;
     pooled_page_.Release();
-    next_page_ += num_partitions_;
+    cursor_.Advance();
   }
 }
 

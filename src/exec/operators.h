@@ -16,6 +16,7 @@
 #include "exec/expr.h"
 #include "exec/plan.h"
 #include "exec/profile.h"
+#include "exec/scan_cursor.h"
 #include "exec/shared_build.h"
 #include "resilience/retry.h"
 #include "storage/buffer_pool.h"
@@ -125,6 +126,8 @@ class Operator {
 /// Sequential scan over a heap file with an optional static page partition:
 /// worker `partition_index` of `num_partitions` reads pages
 /// {p | p mod num_partitions == partition_index} (§2.4 page partitioning).
+/// A serial scan through a buffer pool is synchronized with the file's
+/// other live scans and reads ahead (exec/scan_cursor.h).
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(Table* table, Predicate predicate, ExecContext ctx,
@@ -141,15 +144,13 @@ class SeqScanOp : public Operator {
   uint64_t pages_read() const { return pages_read_; }
 
  private:
-  Status LoadPage(uint32_t page_index);
-
   Table* const table_;
   const Predicate predicate_;
   const ExecContext ctx_;
   const int num_partitions_;
   const int partition_index_;
 
-  uint32_t next_page_ = 0;
+  ScanCursor cursor_;
   uint16_t next_slot_ = 0;
   bool page_loaded_ = false;
   Page direct_page_;          // used when no buffer pool

@@ -82,6 +82,31 @@ StatusOr<Tuple> HeapFile::ReadTuple(const TupleId& tid) const {
   return Tuple::Deserialize(schema_, data, size);
 }
 
+uint64_t HeapFile::RegisterScan(uint32_t* start_page, bool* joined) const {
+  std::lock_guard<std::mutex> lock(scans_mutex_);
+  *joined = !live_scans_.empty();
+  *start_page = *joined ? live_scans_.back().page : 0;
+  const uint64_t id = next_scan_id_++;
+  live_scans_.push_back({id, *start_page});
+  return id;
+}
+
+void HeapFile::UpdateScan(uint64_t id, uint32_t page) const {
+  std::lock_guard<std::mutex> lock(scans_mutex_);
+  for (ScanSlot& slot : live_scans_)
+    if (slot.id == id) slot.page = page;
+}
+
+void HeapFile::UnregisterScan(uint64_t id) const {
+  std::lock_guard<std::mutex> lock(scans_mutex_);
+  std::erase_if(live_scans_, [id](const ScanSlot& s) { return s.id == id; });
+}
+
+size_t HeapFile::live_scans() const {
+  std::lock_guard<std::mutex> lock(scans_mutex_);
+  return live_scans_.size();
+}
+
 double HeapFile::TuplesPerPage() const {
   uint32_t pages = static_cast<uint32_t>(block_map_.size());
   if (pages == 0) return 0.0;

@@ -20,6 +20,11 @@ namespace xprs {
 
 /// A relation's pages. Loading is single-writer (setup phase); reads are
 /// thread-safe and go through the disk array's timing model.
+///
+/// The file also keeps the registry of its live synchronized scans: serial
+/// scans register for as long as they run and report the page they are on,
+/// so a scan that starts while others run can join the most recently
+/// started one at its current page and share its page reads.
 class HeapFile {
  public:
   HeapFile(std::string name, Schema schema, DiskArray* array);
@@ -80,6 +85,20 @@ class HeapFile {
     injector_.store(injector, std::memory_order_release);
   }
 
+  /// Registers a live scan. Returns its registry id; *start_page is the
+  /// current page of the most recently started live scan, or 0 when none
+  /// runs (*joined tells which). Thread-safe, like the two below.
+  uint64_t RegisterScan(uint32_t* start_page, bool* joined) const;
+
+  /// Records that scan `id` moved to `page`.
+  void UpdateScan(uint64_t id, uint32_t page) const;
+
+  /// Removes scan `id` from the registry.
+  void UnregisterScan(uint64_t id) const;
+
+  /// Live scans registered (tests).
+  size_t live_scans() const;
+
  private:
   const std::string name_;
   const Schema schema_;
@@ -90,6 +109,16 @@ class HeapFile {
   Page tail_;                       // page being filled by Append
   bool tail_dirty_ = false;
   uint64_t num_tuples_ = 0;
+
+  struct ScanSlot {
+    uint64_t id = 0;
+    uint32_t page = 0;  // the page the scan is on
+  };
+  // Synchronized-scan registry, in start order. Scans of a loaded file
+  // only read it, so the registry is mutable state of a const file.
+  mutable std::mutex scans_mutex_;
+  mutable std::vector<ScanSlot> live_scans_;
+  mutable uint64_t next_scan_id_ = 1;
 };
 
 }  // namespace xprs

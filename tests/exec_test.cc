@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <set>
 
+#include "exec/batch_ops.h"
 #include "exec/executor.h"
 #include "exec/fragment.h"
 #include "exec/plan.h"
+#include "resilience/cancellation.h"
+#include "storage/buffer_pool.h"
 #include "storage/catalog.h"
 #include "util/rng.h"
 
@@ -367,6 +370,185 @@ TEST_F(ExecTest, NestLoopInnerRescanPaysIo) {
   EXPECT_GT(array_->total_stats().reads,
             static_cast<uint64_t>(r_->file().num_pages() +
                                   s_->file().num_pages()));
+}
+
+// --- cooperative sequential scans (exec/scan_cursor.h) -------------------
+
+// A 64-page table t(a, b), four tuples per page, a = 0..255 in file order,
+// on a throttled array whose reads take microseconds.
+class ScanCursorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    DiskTimings timings;
+    timings.time_scale = 0.001;
+    array_ = std::make_unique<DiskArray>(4, DiskMode::kThrottled, timings);
+    catalog_ = std::make_unique<Catalog>(array_.get());
+    t_ = catalog_->CreateTable("t", Schema::PaperSchema()).value();
+    for (int i = 0; i < 256; ++i) {
+      ASSERT_TRUE(t_->file()
+                      .Append(Tuple({Value(int32_t{i}),
+                                     Value(std::string(1900, 'x'))}))
+                      .ok());
+    }
+    ASSERT_TRUE(t_->file().Flush().ok());
+    ASSERT_EQ(t_->file().num_pages(), 64u);
+  }
+
+  // Rows of a direct (unpooled) scan: the file's order.
+  std::vector<Tuple> FileOrder() {
+    SeqScanOp scan(t_, Predicate(), ExecContext());
+    return Drain(&scan).value();
+  }
+
+  // The multiset of rows as sorted keys (a is unique per row).
+  static std::vector<int32_t> SortedKeys(const std::vector<Tuple>& rows) {
+    std::vector<int32_t> keys;
+    for (const Tuple& t : rows) keys.push_back(std::get<int32_t>(t.value(0)));
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  // Rows of a batch scan, in the order produced.
+  static StatusOr<std::vector<Tuple>> DrainBatches(BatchSeqScanOp* scan) {
+    XPRS_RETURN_IF_ERROR(scan->Open());
+    std::vector<Tuple> rows;
+    for (;;) {
+      ColumnBatch batch;
+      bool eof = false;
+      XPRS_RETURN_IF_ERROR(scan->NextBatch(&batch, &eof));
+      if (eof) break;
+      for (uint32_t r = 0; r < batch.size(); ++r)
+        rows.push_back(batch.MaterializeRow(r));
+    }
+    XPRS_RETURN_IF_ERROR(scan->Close());
+    return rows;
+  }
+
+  std::unique_ptr<DiskArray> array_;
+  std::unique_ptr<Catalog> catalog_;
+  Table* t_ = nullptr;
+};
+
+TEST_F(ScanCursorTest, LoneScanStartsAtPageZeroInFileOrder) {
+  const std::vector<Tuple> expected = FileOrder();
+  BufferPool pool(array_.get(), 32);
+  ExecContext ctx;
+  ctx.pool = &pool;
+  ctx.batch_rows = 7;  // batches straddle pages
+
+  SeqScanOp tuple_scan(t_, Predicate(), ctx);
+  auto tuples = Drain(&tuple_scan);
+  ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+  EXPECT_EQ(*tuples, expected);
+
+  BatchSeqScanOp batch_scan(t_, ctx);
+  auto batched = DrainBatches(&batch_scan);
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  EXPECT_EQ(*batched, expected);
+
+  EXPECT_GT(pool.stats().prefetches, 0u);  // read-ahead engaged
+  EXPECT_EQ(t_->file().live_scans(), 0u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
+TEST_F(ScanCursorTest, JoiningScanSharesPagesAndCoversTheTable) {
+  const std::vector<int32_t> expected = SortedKeys(FileOrder());
+  // The pool holds a quarter of the table, so a solo scan misses on every
+  // page even right after another one.
+  uint64_t solo_reads = 0;
+  for (int run = 0; run < 2; ++run) {
+    BufferPool pool(array_.get(), 16);
+    ExecContext ctx;
+    ctx.pool = &pool;
+    array_->ResetStats();
+    SeqScanOp solo(t_, Predicate(), ctx);
+    ASSERT_TRUE(Drain(&solo).ok());
+    solo_reads += array_->total_stats().reads;
+  }
+
+  BufferPool pool(array_.get(), 16);
+  MetricsRegistry metrics;
+  ExecContext ctx;
+  ctx.pool = &pool;
+  ctx.obs.metrics = &metrics;
+  array_->ResetStats();
+  SeqScanOp first(t_, Predicate(), ctx);
+  SeqScanOp second(t_, Predicate(), ctx);
+  std::vector<Tuple> first_rows, second_rows;
+  Tuple row;
+  bool eof = false;
+  ASSERT_TRUE(first.Open().ok());
+  while (first.pages_read() < 33) {  // mid-table: on page 32
+    ASSERT_TRUE(first.Next(&row, &eof).ok());
+    ASSERT_FALSE(eof);
+    first_rows.push_back(row);
+  }
+  ASSERT_TRUE(second.Open().ok());
+  EXPECT_EQ(metrics.counter("scan.sync_joins")->value(), 1u);
+  // Lockstep: one row each while both run, then the joiner alone.
+  bool first_done = false, second_done = false;
+  while (!first_done || !second_done) {
+    if (!first_done) {
+      ASSERT_TRUE(first.Next(&row, &first_done).ok());
+      if (!first_done) first_rows.push_back(row);
+    }
+    if (!second_done) {
+      ASSERT_TRUE(second.Next(&row, &second_done).ok());
+      if (!second_done) second_rows.push_back(row);
+    }
+  }
+  EXPECT_EQ(std::get<int32_t>(second_rows.front().value(0)), 128);
+  EXPECT_EQ(SortedKeys(first_rows), expected);
+  EXPECT_EQ(SortedKeys(second_rows), expected);
+  const uint64_t pair_reads = array_->total_stats().reads;
+  EXPECT_LT(pair_reads, solo_reads);
+  EXPECT_LE(pair_reads, 64u + 32u + pool.ReadAheadWindow());
+  ASSERT_TRUE(first.Close().ok());
+  ASSERT_TRUE(second.Close().ok());
+  EXPECT_EQ(t_->file().live_scans(), 0u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
+TEST_F(ScanCursorTest, CancelledScanDeregisters) {
+  const std::vector<Tuple> expected = FileOrder();
+  BufferPool pool(array_.get(), 32);
+  CancellationToken token;
+  ExecContext ctx;
+  ctx.pool = &pool;
+  ctx.cancel = &token;
+  ctx.batch_rows = 4;  // one page per batch
+  BatchSeqScanOp cancelled(t_, ctx);
+  ASSERT_TRUE(cancelled.Open().ok());
+  for (int i = 0; i < 10; ++i) {
+    ColumnBatch batch;
+    bool eof = false;
+    ASSERT_TRUE(cancelled.NextBatch(&batch, &eof).ok());
+  }
+  EXPECT_EQ(t_->file().live_scans(), 1u);
+  token.Cancel();
+  ColumnBatch batch;
+  bool eof = false;
+  EXPECT_EQ(cancelled.NextBatch(&batch, &eof).code(), StatusCode::kCancelled);
+  EXPECT_EQ(t_->file().live_scans(), 0u);
+
+  // The next lone scan starts at page 0 again.
+  ExecContext fresh;
+  fresh.pool = &pool;
+  SeqScanOp next(t_, Predicate(), fresh);
+  auto rows = Drain(&next);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, expected);
+
+  // A scan destroyed mid-table without Close leaves the registry too.
+  {
+    SeqScanOp abandoned(t_, Predicate(), fresh);
+    ASSERT_TRUE(abandoned.Open().ok());
+    Tuple row;
+    ASSERT_TRUE(abandoned.Next(&row, &eof).ok());
+    EXPECT_EQ(t_->file().live_scans(), 1u);
+  }
+  EXPECT_EQ(t_->file().live_scans(), 0u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
 }
 
 }  // namespace

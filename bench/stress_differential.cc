@@ -176,6 +176,7 @@ int main(int argc, char** argv) {
 
   xprs::Rng rng(seed);
   uint64_t queries_checked = 0;
+  uint64_t pool_recycled = 0;
   for (int iter = 0; iter < iters; ++iter) {
     xprs::DiskArray array(4, xprs::DiskMode::kInstant);
     xprs::Catalog catalog(&array);
@@ -183,6 +184,9 @@ int main(int argc, char** argv) {
     // Vary the population shape across iterations.
     workload.num_relations = 2 + static_cast<int>(rng.NextUint64(3));
     workload.max_null_key_fraction = rng.NextBool(0.5) ? 0.3 : 0.0;
+    // Every other population is wide: its relations span several pages,
+    // so the oracle's small pools recycle the pages their scans pass.
+    if (iter % 2 == 1) workload.max_text_width = 400;
     xprs::Rng build_rng = rng.Fork();
     auto tables = xprs::BuildGeneratedWorkload(&catalog, workload, &build_rng);
     if (!tables.ok()) {
@@ -236,6 +240,7 @@ int main(int argc, char** argv) {
                         "io-conservation", conservation);
       return 1;
     }
+    pool_recycled += oracle.report().pool_recycled;
     if ((iter + 1) % 25 == 0) {
       std::printf("  iter %d/%d: %s\n", iter + 1, iters,
                   oracle.report().ToString().c_str());
@@ -243,7 +248,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("stress_differential: PASS — %" PRIu64
-              " queries checked over %d iterations\n",
-              queries_checked, iters);
+              " queries checked over %d iterations, %" PRIu64
+              " pool frames recycled\n",
+              queries_checked, iters, pool_recycled);
   return 0;
 }

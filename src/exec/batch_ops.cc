@@ -43,7 +43,8 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
   out->Reset(&table_->schema());
   const uint32_t target = BatchTarget(ctx_);
   while (out->size() < target && !cursor_.done()) {
-    // The pin (when pooled) lives exactly as long as this page's decode.
+    // The pin (when pooled) lives exactly as long as this page's decode,
+    // and ends before Advance may mark the page done.
     PageHandle handle;
     const Page* page;
     XPRS_RETURN_IF_ERROR(cursor_.Load(&handle, &direct_page_, &page));
@@ -57,6 +58,7 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
       XPRS_RETURN_IF_ERROR(out->AppendSerializedTuple(
           data, size, decode_mask_.empty() ? nullptr : &decode_mask_));
     }
+    handle.Release();
     cursor_.Advance();
   }
   if (out->size() == 0) {

@@ -6,12 +6,24 @@
 
 namespace xprs {
 
+bool RecyclesPages(const HeapFile& file, const BufferPool& pool) {
+  return file.num_pages() > pool.num_frames();
+}
+
+void MarkPagePassed(const HeapFile& file, BufferPool* pool, uint64_t scan_id,
+                    uint32_t page) {
+  if (file.PageNeededByOtherScan(scan_id, page)) return;
+  auto block = file.BlockOf(page);
+  if (block.ok()) pool->MarkDone(block.value());
+}
+
 void ScanCursor::Open(const HeapFile* file, const ExecContext* ctx,
                       int num_partitions, int partition_index) {
   Close();
   file_ = file;
   ctx_ = ctx;
   window_ = 0;
+  recycle_ = false;
   const uint32_t pages = file->num_pages();
   if (ctx->pool == nullptr || num_partitions > 1) {
     step_ = static_cast<uint32_t>(num_partitions);
@@ -24,6 +36,7 @@ void ScanCursor::Open(const HeapFile* file, const ExecContext* ctx,
   if (pages == 0) return;
   bool joined = false;
   scan_id_ = file->RegisterScan(&page_, &joined);
+  recycle_ = RecyclesPages(*file, *ctx->pool);
   if (joined && ctx->obs.metrics != nullptr)
     ctx->obs.metrics->counter("scan.sync_joins")->Increment();
   window_ = std::min(ctx->pool->ReadAheadWindow(), pages - 1);
@@ -56,6 +69,8 @@ Status ScanCursor::LoadPage(PageHandle* pinned, Page* direct,
 
 void ScanCursor::Advance() {
   if (remaining_ == 0) return;
+  if (recycle_ && scan_id_ != 0)
+    MarkPagePassed(*file_, ctx_->pool, scan_id_, page_);
   if (--remaining_ == 0) {
     Close();
     return;

@@ -11,6 +11,11 @@
 //  - read-ahead: it keeps BufferPool::ReadAheadWindow() pages in flight
 //    ahead of itself, so every disk of the stripe stays busy while it
 //    decodes (on a kInstant array the window is 0).
+//  - recycling: when the file has more pages than the pool has frames, no
+//    replacement policy can keep it cached from one scan to the next. A
+//    page the scan steps off that no other live scan has ahead of it is
+//    marked done, so the pool reuses its frame first and the small
+//    relations scanned beside the file stay cached.
 // The registration ends on Close, at EOF, on any Load error and in the
 // destructor, so a cancelled scan never strands a position others join.
 
@@ -26,6 +31,15 @@
 namespace xprs {
 
 struct ExecContext;
+
+/// True when scans of `file` through `pool` recycle the pages they pass:
+/// the file has more pages than the pool has frames.
+bool RecyclesPages(const HeapFile& file, const BufferPool& pool);
+
+/// Marks page `page` of `file` done in `pool` unless a live synchronized
+/// scan other than `scan_id` (0: any) still has it ahead.
+void MarkPagePassed(const HeapFile& file, BufferPool* pool, uint64_t scan_id,
+                    uint32_t page);
 
 class ScanCursor {
  public:
@@ -47,7 +61,8 @@ class ScanCursor {
   /// into *direct without one. *page points at the result.
   Status Load(PageHandle* pinned, Page* direct, const Page** page);
 
-  /// Steps to the scan's next page.
+  /// Steps to the scan's next page. Release the current page's pin first:
+  /// the page may be marked done.
   void Advance();
 
   /// Leaves the file's live-scan registry (idempotent).
@@ -65,6 +80,7 @@ class ScanCursor {
   uint32_t remaining_ = 0;  // pages left, the current one included
   uint32_t window_ = 0;     // read-ahead depth; 0 = none
   uint64_t scan_id_ = 0;    // registry id; 0 = not registered
+  bool recycle_ = false;    // mark passed pages done (RecyclesPages)
 };
 
 }  // namespace xprs

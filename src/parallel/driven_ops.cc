@@ -1,5 +1,6 @@
 #include "parallel/driven_ops.h"
 
+#include "exec/scan_cursor.h"
 #include "util/check.h"
 
 namespace xprs {
@@ -23,6 +24,7 @@ Status DrivenSeqScanOp::Open() {
   next_slot_ = 0;
   current_ = nullptr;
   pooled_page_.Release();
+  recycle_ = ctx_.pool != nullptr && RecyclesPages(table_->file(), *ctx_.pool);
   return Status::OK();
 }
 
@@ -42,14 +44,15 @@ Status DrivenSeqScanOp::Next(Tuple* out, bool* eof) {
         *eof = true;
         return Status::OK();
       }
+      page_ = *page;
       if (ctx_.pool != nullptr) {
-        XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(*page));
+        XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(page_));
         auto handle = FetchWithBackpressure(ctx_, block);
         if (!handle.ok()) return handle.status();
         pooled_page_ = std::move(handle).value();
         current_ = &pooled_page_.page();
       } else {
-        XPRS_RETURN_IF_ERROR(table_->file().ReadPage(*page, &direct_page_));
+        XPRS_RETURN_IF_ERROR(table_->file().ReadPage(page_, &direct_page_));
         current_ = &direct_page_;
       }
       ProfPagesRead(1);
@@ -70,6 +73,9 @@ Status DrivenSeqScanOp::Next(Tuple* out, bool* eof) {
     }
     page_loaded_ = false;
     pooled_page_.Release();
+    // Each page goes to exactly one slave (§2.4), so only the serial scans
+    // in the file's registry can still need it.
+    if (recycle_) MarkPagePassed(table_->file(), ctx_.pool, 0, page_);
   }
 }
 

@@ -35,6 +35,8 @@ class DrivenSeqScanOp : public Operator {
   const int slot_;
 
   bool page_loaded_ = false;
+  bool recycle_ = false;  // mark passed pages done (RecyclesPages)
+  uint32_t page_ = 0;     // the page being scanned
   Page direct_page_;
   PageHandle pooled_page_;
   const Page* current_ = nullptr;

@@ -61,6 +61,18 @@ void BufferPool::Unpin(size_t frame) {
 }
 
 size_t BufferPool::ClaimVictimLocked() {
+  while (!done_.empty()) {
+    const size_t idx = done_.front();
+    done_.pop_front();
+    Frame& f = frames_[idx];
+    f.listed = false;
+    if (!f.done) continue;  // revived by a hit, or re-keyed by the clock
+    f.done = false;
+    if (f.pins > 0 || f.loading) continue;  // left to the clock
+    ++stats_.recycled;
+    if (recycled_counter_ != nullptr) recycled_counter_->Increment();
+    return idx;
+  }
   size_t scanned = 0;
   const size_t limit = 2 * frames_.size();
   while (scanned < limit) {
@@ -92,6 +104,7 @@ void BufferPool::InstallLocked(size_t frame, BlockId block) {
   f.loading = true;
   f.ref_bit = true;
   f.prefetched = false;
+  f.done = false;
   table_[block] = frame;
 }
 
@@ -102,6 +115,7 @@ void BufferPool::FinishLoadLocked(size_t frame, bool ok) {
     table_.erase(f.block);
     f.occupied = false;
     f.prefetched = false;
+    f.done = false;
     f.pins = 0;
   }
   load_cv_.notify_all();
@@ -134,6 +148,7 @@ StatusOr<size_t> BufferPool::FindOrClaimLocked(
       ++f.pins;
       f.ref_bit = true;
       f.prefetched = false;
+      f.done = false;
       ++stats_.hits;
       if (hits_counter_ != nullptr) hits_counter_->Increment();
       *needs_load = false;
@@ -202,6 +217,23 @@ uint32_t BufferPool::ReadAheadWindow() const {
       2 * static_cast<size_t>(array_->num_disks()), frames_.size() / 8));
 }
 
+void BufferPool::MarkDone(BlockId block) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = table_.find(block);
+  if (it == table_.end()) return;
+  Frame& f = frames_[it->second];
+  f.done = true;
+  if (!f.listed) {
+    f.listed = true;
+    done_.push_back(it->second);
+  }
+}
+
+size_t BufferPool::DoneListSize() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return done_.size();
+}
+
 void BufferPool::Prefetch(BlockId block) {
   if (array_->mode() != DiskMode::kThrottled) return;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -257,6 +289,7 @@ void BufferPool::AttachMetrics(MetricsRegistry* metrics) {
     prefetch_counter_ = metrics->counter("bufferpool.prefetch.issued");
     unused_counter_ = metrics->counter("bufferpool.prefetch.unused");
     load_waits_counter_ = metrics->counter("bufferpool.load_waits");
+    recycled_counter_ = metrics->counter("bufferpool.recycled");
   } else {
     hits_counter_ = nullptr;
     misses_counter_ = nullptr;
@@ -264,6 +297,7 @@ void BufferPool::AttachMetrics(MetricsRegistry* metrics) {
     prefetch_counter_ = nullptr;
     unused_counter_ = nullptr;
     load_waits_counter_ = nullptr;
+    recycled_counter_ = nullptr;
   }
 }
 
@@ -312,12 +346,13 @@ std::string BufferPool::ToString() const {
   BufferPoolStats s = stats();
   return StrFormat(
       "BufferPool{%zu frames, hits=%llu misses=%llu (%.1f%%) "
-      "prefetches=%llu unused=%llu load_waits=%llu}",
+      "prefetches=%llu unused=%llu load_waits=%llu recycled=%llu}",
       frames_.size(), static_cast<unsigned long long>(s.hits),
       static_cast<unsigned long long>(s.misses), s.hit_rate() * 100.0,
       static_cast<unsigned long long>(s.prefetches),
       static_cast<unsigned long long>(s.prefetch_unused),
-      static_cast<unsigned long long>(s.load_waits));
+      static_cast<unsigned long long>(s.load_waits),
+      static_cast<unsigned long long>(s.recycled));
 }
 
 }  // namespace xprs

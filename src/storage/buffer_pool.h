@@ -11,6 +11,11 @@
 // per disk, started by the first Prefetch and joined by the destructor), so
 // a scan keeps every disk of the stripe busy while it decodes. A Fetch of a
 // block still loading waits for that load to finish.
+//
+// Scans of a relation larger than the pool tell it which pages no live scan
+// will read again (MarkDone). Those frames are reused before the clock
+// sweeps, so a big relation streams through a few frames instead of
+// flushing the small relations scanned beside it.
 
 #ifndef XPRS_STORAGE_BUFFER_POOL_H_
 #define XPRS_STORAGE_BUFFER_POOL_H_
@@ -66,6 +71,7 @@ struct BufferPoolStats {
   uint64_t prefetches = 0;       ///< read-ahead loads queued by Prefetch
   uint64_t prefetch_unused = 0;  ///< prefetched, then evicted unpinned
   uint64_t load_waits = 0;  ///< fetches that blocked on an in-flight load
+  uint64_t recycled = 0;    ///< frames claimed from the done list
   double hit_rate() const {
     uint64_t total = hits + misses;
     return total ? static_cast<double>(hits) / total : 0.0;
@@ -105,10 +111,21 @@ class BufferPool {
   /// flood a small one. 0 on a kInstant array.
   uint32_t ReadAheadWindow() const;
 
+  /// Records that no live scan will read `block` again: its frame goes on
+  /// the done list, which Fetch and Prefetch take victims from before the
+  /// clock sweeps. Takes no pin and leaves the frame's pins and load state
+  /// alone; a no-op when the block is not resident. A later hit on the
+  /// block revives it, and a done frame that is pinned or loading when a
+  /// claim reaches it is left to the clock.
+  void MarkDone(BlockId block);
+
+  /// Entries on the done list (tests). Each frame is on it at most once.
+  size_t DoneListSize() const;
+
   /// Publishes live counters into `metrics` (bufferpool.hits,
   /// bufferpool.misses, bufferpool.backpressure, bufferpool.prefetch.issued,
-  /// bufferpool.prefetch.unused, bufferpool.load_waits). Call before
-  /// handing the pool to workers.
+  /// bufferpool.prefetch.unused, bufferpool.load_waits,
+  /// bufferpool.recycled). Call before handing the pool to workers.
   void AttachMetrics(MetricsRegistry* metrics);
 
   /// Writes the current hit rate and frame count gauges into the attached
@@ -150,6 +167,8 @@ class BufferPool {
     bool loading = false;     // a thread is reading it from disk
     bool ref_bit = false;     // clock second chance
     bool prefetched = false;  // loaded by Prefetch, not yet fetched
+    bool done = false;        // no live scan reads it again (MarkDone)
+    bool listed = false;      // has an entry on done_
     int pins = 0;
   };
 
@@ -167,9 +186,10 @@ class BufferPool {
   // frame index and whether a disk load is needed; called under mutex_.
   StatusOr<size_t> FindOrClaimLocked(BlockId block, bool* needs_load,
                                      std::unique_lock<std::mutex>* lock);
-  // Clock sweep (two passes: the first clears reference bits, the second
-  // takes the first unpinned frame). Returns frames_.size() when every
-  // frame is pinned or loading.
+  // Takes the oldest done frame that is unpinned and not loading, else
+  // sweeps the clock (two passes: the first clears reference bits, the
+  // second takes the first unpinned frame). Returns frames_.size() when
+  // every frame is pinned or loading.
   size_t ClaimVictimLocked();
   // Blocks until some load ends (or a spurious wake); counts the calling
   // fetch in load_waits once, however often it waits.
@@ -186,6 +206,9 @@ class BufferPool {
   std::vector<Frame> frames_;
   std::condition_variable load_cv_;  // signaled when any load completes
   std::unordered_map<BlockId, size_t> table_;  // block -> frame
+  // Frames marked done, oldest first. An entry whose frame was revived or
+  // re-keyed since is dropped when a claim reaches it.
+  std::deque<size_t> done_;
   size_t clock_hand_ = 0;
   size_t soft_pin_limit_ = 0;  // 0 = no admission control
   BufferPoolStats stats_;
@@ -197,6 +220,7 @@ class BufferPool {
   Counter* prefetch_counter_ = nullptr;      // bufferpool.prefetch.issued
   Counter* unused_counter_ = nullptr;        // bufferpool.prefetch.unused
   Counter* load_waits_counter_ = nullptr;    // bufferpool.load_waits
+  Counter* recycled_counter_ = nullptr;      // bufferpool.recycled
 
   std::atomic<FaultInjector*> injector_{nullptr};
 

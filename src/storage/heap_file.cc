@@ -87,7 +87,7 @@ uint64_t HeapFile::RegisterScan(uint32_t* start_page, bool* joined) const {
   *joined = !live_scans_.empty();
   *start_page = *joined ? live_scans_.back().page : 0;
   const uint64_t id = next_scan_id_++;
-  live_scans_.push_back({id, *start_page});
+  live_scans_.push_back({id, *start_page, *start_page});
   return id;
 }
 
@@ -100,6 +100,19 @@ void HeapFile::UpdateScan(uint64_t id, uint32_t page) const {
 void HeapFile::UnregisterScan(uint64_t id) const {
   std::lock_guard<std::mutex> lock(scans_mutex_);
   std::erase_if(live_scans_, [id](const ScanSlot& s) { return s.id == id; });
+}
+
+bool HeapFile::PageNeededByOtherScan(uint64_t id, uint32_t page) const {
+  const uint32_t pages = num_pages();
+  std::lock_guard<std::mutex> lock(scans_mutex_);
+  for (const ScanSlot& s : live_scans_) {
+    if (s.id == id) continue;
+    // A scan covers every page once and leaves the registry on its last
+    // page, so standing on its start page means the whole file is ahead.
+    const uint32_t left = (s.start + pages - s.page) % pages;
+    if (left == 0 || (page + pages - s.page) % pages < left) return true;
+  }
+  return false;
 }
 
 size_t HeapFile::live_scans() const {

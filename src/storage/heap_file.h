@@ -24,7 +24,9 @@ namespace xprs {
 /// The file also keeps the registry of its live synchronized scans: serial
 /// scans register for as long as they run and report the page they are on,
 /// so a scan that starts while others run can join the most recently
-/// started one at its current page and share its page reads.
+/// started one at its current page and share its page reads. The registry
+/// also answers which pages a live scan still has ahead of it, so a scan
+/// that passes a page can tell the buffer pool nobody needs it any more.
 class HeapFile {
  public:
   HeapFile(std::string name, Schema schema, DiskArray* array);
@@ -96,6 +98,11 @@ class HeapFile {
   /// Removes scan `id` from the registry.
   void UnregisterScan(uint64_t id) const;
 
+  /// True when a live scan other than `id` (0: any live scan) still has
+  /// `page` ahead of it: the page lies in the cyclic range from the page
+  /// the scan is on up to, not including, the page it started on.
+  bool PageNeededByOtherScan(uint64_t id, uint32_t page) const;
+
   /// Live scans registered (tests).
   size_t live_scans() const;
 
@@ -112,7 +119,8 @@ class HeapFile {
 
   struct ScanSlot {
     uint64_t id = 0;
-    uint32_t page = 0;  // the page the scan is on
+    uint32_t start = 0;  // the page the scan started on
+    uint32_t page = 0;   // the page the scan is on
   };
   // Synchronized-scan registry, in start order. Scans of a loaded file
   // only read it, so the registry is mutable state of a const file.

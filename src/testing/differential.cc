@@ -18,14 +18,16 @@ namespace xprs {
 std::string DifferentialReport::ToString() const {
   return StrFormat(
       "plans=%llu executions=%llu reference_rows=%llu fault_cases=%llu "
-      "faults_injected=%llu chaos_recovered=%llu chaos_retryable=%llu",
+      "faults_injected=%llu chaos_recovered=%llu chaos_retryable=%llu "
+      "pool_recycled=%llu",
       static_cast<unsigned long long>(plans_checked),
       static_cast<unsigned long long>(executions_compared),
       static_cast<unsigned long long>(reference_rows),
       static_cast<unsigned long long>(fault_cases),
       static_cast<unsigned long long>(faults_injected),
       static_cast<unsigned long long>(chaos_recovered),
-      static_cast<unsigned long long>(chaos_retryable_failures));
+      static_cast<unsigned long long>(chaos_retryable_failures),
+      static_cast<unsigned long long>(pool_recycled));
 }
 
 namespace {
@@ -42,7 +44,54 @@ const PlanNode* FindScan(const PlanNode& plan, PlanKind kind) {
   return nullptr;
 }
 
+// Pages a plan can pin at once through a pool: one per scan, the page it
+// is on.
+size_t ScanLeaves(const PlanNode& plan) {
+  if (plan.kind == PlanKind::kSeqScan || plan.kind == PlanKind::kIndexScan)
+    return 1;
+  return (plan.left != nullptr ? ScanLeaves(*plan.left) : 0) +
+         (plan.right != nullptr ? ScanLeaves(*plan.right) : 0);
+}
+
+// Pages of the largest relation the plan scans.
+uint32_t LargestScanned(const PlanNode& plan) {
+  uint32_t pages = plan.table != nullptr ? plan.table->file().num_pages() : 0;
+  if (plan.left != nullptr) pages = std::max(pages, LargestScanned(*plan.left));
+  if (plan.right != nullptr)
+    pages = std::max(pages, LargestScanned(*plan.right));
+  return pages;
+}
+
 }  // namespace
+
+std::vector<size_t> DifferentialOracle::PoolSizes(
+    const std::vector<const PlanNode*>& plans, size_t pins) const {
+  uint32_t largest = 0;
+  for (const PlanNode* plan : plans)
+    largest = std::max(largest, LargestScanned(*plan));
+  const size_t small =
+      std::max<size_t>({pins, largest > 0 ? largest - 1 : 0, 1});
+  if (small >= options_.buffer_pool_frames)
+    return {options_.buffer_pool_frames};
+  return {options_.buffer_pool_frames, small};
+}
+
+std::string DifferentialOracle::PoolLabel(const char* mode,
+                                          size_t frames) const {
+  if (frames == options_.buffer_pool_frames) return mode;
+  return StrFormat("%s(%d frames)", mode, static_cast<int>(frames));
+}
+
+Status DifferentialOracle::CheckPoolDrained(const BufferPool& pool,
+                                            const std::string& label,
+                                            const PlanNode* plan) {
+  report_.pool_recycled += pool.stats().recycled;
+  if (pool.PinnedFrames() == 0) return Status::OK();
+  return Status::Internal(StrFormat(
+      "%s run left %d pinned frames%s", label.c_str(),
+      static_cast<int>(pool.PinnedFrames()),
+      plan != nullptr ? ("\nplan:\n" + plan->ToString()).c_str() : ""));
+}
 
 DifferentialOracle::DifferentialOracle(DiskArray* array,
                                        const DifferentialOptions& options,
@@ -206,18 +255,17 @@ Status DifferentialOracle::CheckPlan(const PlanNode& plan) {
     XPRS_RETURN_IF_ERROR(Compare(plan, "spill", reference, got));
   }
 
+  const std::vector<size_t> pool_sizes = PoolSizes({&plan}, ScanLeaves(plan));
   if (options_.run_buffer_pool) {
-    BufferPool pool(array_, options_.buffer_pool_frames);
-    ExecContext ctx;
-    ctx.pool = &pool;
-    XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> got,
-                          ExecutePlanSequential(plan, ctx));
-    XPRS_RETURN_IF_ERROR(Compare(plan, "pooled", reference, got));
-    if (pool.PinnedFrames() != 0) {
-      return Status::Internal(
-          StrFormat("pooled run left %d pinned frames\nplan:\n%s",
-                    static_cast<int>(pool.PinnedFrames()),
-                    plan.ToString().c_str()));
+    for (size_t frames : pool_sizes) {
+      BufferPool pool(array_, frames);
+      ExecContext ctx;
+      ctx.pool = &pool;
+      const std::string label = PoolLabel("pooled", frames);
+      XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> got,
+                            ExecutePlanSequential(plan, ctx));
+      XPRS_RETURN_IF_ERROR(Compare(plan, label, reference, got));
+      XPRS_RETURN_IF_ERROR(CheckPoolDrained(pool, label, &plan));
     }
   }
 
@@ -253,16 +301,15 @@ Status DifferentialOracle::CheckPlan(const PlanNode& plan) {
     // Batched scans over the shared pool: page pins are scoped to each
     // page's decode, so the run must leave zero pinned frames.
     if (options_.run_buffer_pool) {
-      BufferPool pool(array_, options_.buffer_pool_frames);
-      ExecContext ctx;
-      ctx.pool = &pool;
-      XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> got,
-                            ExecutePlanVectorized(plan, ctx));
-      XPRS_RETURN_IF_ERROR(Compare(plan, "vectorized-pooled", reference, got));
-      if (pool.PinnedFrames() != 0) {
-        return Status::Internal(StrFormat(
-            "vectorized pooled run left %d pinned frames\nplan:\n%s",
-            static_cast<int>(pool.PinnedFrames()), plan.ToString().c_str()));
+      for (size_t frames : pool_sizes) {
+        BufferPool pool(array_, frames);
+        ExecContext ctx;
+        ctx.pool = &pool;
+        const std::string label = PoolLabel("vectorized-pooled", frames);
+        XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> got,
+                              ExecutePlanVectorized(plan, ctx));
+        XPRS_RETURN_IF_ERROR(Compare(plan, label, reference, got));
+        XPRS_RETURN_IF_ERROR(CheckPoolDrained(pool, label, &plan));
       }
     }
     // The batch operators own their plan nodes' stats: the profiled run
@@ -501,17 +548,15 @@ Status DifferentialOracle::CheckPlanChaos(const PlanNode& plan) {
                   [&] { return RunParallelFragments(plan, degree); }));
   }
   if (options_.run_buffer_pool) {
-    BufferPool pool(array_, options_.buffer_pool_frames);
-    ExecContext ctx;
-    ctx.pool = &pool;
-    XPRS_RETURN_IF_ERROR(
-        ChaosCase(plan, reference, "pooled",
-                  [&] { return ExecutePlanSequential(plan, ctx); }));
-    if (pool.PinnedFrames() != 0) {
-      return Status::Internal(
-          StrFormat("chaos pooled run left %d pinned frames\nplan:\n%s",
-                    static_cast<int>(pool.PinnedFrames()),
-                    plan.ToString().c_str()));
+    for (size_t frames : PoolSizes({&plan}, ScanLeaves(plan))) {
+      BufferPool pool(array_, frames);
+      ExecContext ctx;
+      ctx.pool = &pool;
+      const std::string label = PoolLabel("pooled", frames);
+      XPRS_RETURN_IF_ERROR(
+          ChaosCase(plan, reference, label,
+                    [&] { return ExecutePlanSequential(plan, ctx); }));
+      XPRS_RETURN_IF_ERROR(CheckPoolDrained(pool, "chaos " + label, &plan));
     }
   }
   if (options_.run_vectorized) {
@@ -587,7 +632,24 @@ Status DifferentialOracle::RunConcurrent(
     ++report_.plans_checked;
   }
 
-  BufferPool pool(array_, options_.buffer_pool_frames);
+  // Every session can hold each of its plan's scans on a page at once.
+  size_t leaves = 0;
+  for (const PlanNode* plan : plans)
+    leaves = std::max(leaves, ScanLeaves(*plan));
+  for (size_t frames :
+       PoolSizes(plans, leaves * static_cast<size_t>(
+                                     options_.concurrent_sessions))) {
+    XPRS_RETURN_IF_ERROR(ReplayConcurrent(plans, references, frames, chaos));
+  }
+  return Status::OK();
+}
+
+Status DifferentialOracle::ReplayConcurrent(
+    const std::vector<const PlanNode*>& plans,
+    const std::vector<Canon>& references, size_t frames, bool chaos) {
+  BufferPool pool(array_, frames);
+  const std::string mode = PoolLabel(chaos ? "concurrent-chaos" : "concurrent",
+                                     frames);
 
   ServeOptions serve;
   serve.machine = MachineConfig::PaperConfig();
@@ -676,9 +738,7 @@ Status DifferentialOracle::RunConcurrent(
       }
       continue;
     }
-    Status compared =
-        Compare(*plans[i], chaos ? "concurrent-chaos" : "concurrent",
-                references[i], result->rows);
+    Status compared = Compare(*plans[i], mode, references[i], result->rows);
     if (compared.ok() && chaos && injector.faults_injected() > 0)
       ++report_.chaos_recovered;
     if (!compared.ok() && overall.ok()) overall = compared;
@@ -690,11 +750,7 @@ Status DifferentialOracle::RunConcurrent(
     report_.faults_injected += injector.faults_injected();
   }
   XPRS_RETURN_IF_ERROR(overall);
-  if (pool.PinnedFrames() != 0) {
-    return Status::Internal(
-        StrFormat("concurrent replay left %d pinned frames",
-                  static_cast<int>(pool.PinnedFrames())));
-  }
+  XPRS_RETURN_IF_ERROR(CheckPoolDrained(pool, mode + " replay", nullptr));
   if (scheduler.NumQueued() != 0 || scheduler.NumRunning() != 0) {
     return Status::Internal("concurrent replay left queries behind");
   }

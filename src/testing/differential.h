@@ -18,7 +18,11 @@
 //   - spill            memory-constrained external sort / grace hash join
 //                      (§5 extension) over a temp disk array
 //   - pooled           reads through a small shared BufferPool; the run
-//                      must leave zero pinned frames
+//                      must leave zero pinned frames. Every pooled mode
+//                      also runs with a pool one frame short of the
+//                      largest relation the plans scan (floored at the
+//                      pages they can pin at once), so scans of that
+//                      relation recycle the pages they pass
 //   - vectorized       ctx.vectorized batch execution (exec/batch_ops.h),
 //                      run bare, with a tiny batch size (carry-over state),
 //                      fragmented, pooled (zero pinned frames), profiled
@@ -50,6 +54,7 @@
 #include "exec/executor.h"
 #include "exec/fragment.h"
 #include "opt/cost_model.h"
+#include "storage/buffer_pool.h"
 #include "storage/catalog.h"
 #include "storage/disk_array.h"
 #include "storage/fault_injector.h"
@@ -128,6 +133,8 @@ struct DifferentialReport {
   /// and still matched the reference, vs. runs that failed retryably.
   uint64_t chaos_recovered = 0;
   uint64_t chaos_retryable_failures = 0;
+  /// Frames the pooled modes' pools took from their done lists.
+  uint64_t pool_recycled = 0;
   std::string ToString() const;
 };
 
@@ -211,8 +218,24 @@ class DifferentialOracle {
   Status ChaosCase(const PlanNode& plan, const Canon& reference,
                    const std::string& label,
                    const std::function<StatusOr<std::vector<Tuple>>()>& run);
-  // Shared body of the concurrent modes.
+  // Shared body of the concurrent modes: the serial references, then one
+  // replay per pool size.
   Status RunConcurrent(const std::vector<const PlanNode*>& plans, bool chaos);
+  Status ReplayConcurrent(const std::vector<const PlanNode*>& plans,
+                          const std::vector<Canon>& references, size_t frames,
+                          bool chaos);
+  // Frame counts the pooled modes run at: the configured one, then, when
+  // it is smaller, one frame short of the largest relation `plans` scan,
+  // floored at `pins` (the pages the runs can pin at once).
+  std::vector<size_t> PoolSizes(const std::vector<const PlanNode*>& plans,
+                                size_t pins) const;
+  // Pooled-mode label: `mode`, suffixed with the frame count when the pool
+  // is not the configured one.
+  std::string PoolLabel(const char* mode, size_t frames) const;
+  // After a pooled run: fails on pinned frames (naming `plan` when given),
+  // and counts the frames the pool recycled.
+  Status CheckPoolDrained(const BufferPool& pool, const std::string& label,
+                          const PlanNode* plan);
 
   DiskArray* const array_;
   const DifferentialOptions options_;

@@ -106,6 +106,31 @@ TEST(DifferentialTest, TwoHundredChaosQueries) {
             << " degrades=" << degrades << "\n";
 }
 
+// The default relations fit on one page, so no pool can be smaller than
+// them. Wide tuples spread the same row counts over several pages: the
+// pooled modes' small pools then hold less than the largest relation, its
+// scans put the pages they pass on the done list, and claims reuse those
+// frames, with and without read faults.
+TEST(DifferentialTest, WideRelationsRecycleInSmallPools) {
+  const uint64_t seed = TestSeed(0xD1FF000A);
+  GeneratedWorkloadOptions workload;
+  workload.max_text_width = 400;
+  Fixture fx(seed, workload);
+  DifferentialOptions options;
+  options.chaos_read_fault_rate = 0.02;
+  DifferentialOracle oracle(&fx.array, options, seed ^ 1);
+  QueryGenerator gen(fx.tables, QueryGenerator::Options(), seed ^ 2);
+  for (int i = 0; i < 60; ++i) {
+    std::unique_ptr<PlanNode> plan = gen.NextPlan();
+    Status status = oracle.CheckPlan(*plan);
+    if (status.ok()) status = oracle.CheckPlanChaos(*plan);
+    ASSERT_TRUE(status.ok()) << "query " << i << " (seed " << seed
+                             << "): " << status.ToString();
+  }
+  EXPECT_GT(oracle.report().pool_recycled, 0u);
+  std::cout << "wide report: " << oracle.report().ToString() << "\n";
+}
+
 // NULL join keys and NULL aggregate inputs must behave identically in
 // every mode (serial skips them; partitioned runs must too).
 TEST(DifferentialTest, NullHeavyRelations) {

@@ -551,5 +551,75 @@ TEST_F(ScanCursorTest, CancelledScanDeregisters) {
   EXPECT_EQ(pool.PinnedFrames(), 0u);
 }
 
+// --- scan-aware recycling --------------------------------------------------
+
+// A leader scans a 64-page table through a 16-frame pool; a follower joins
+// it on page 32 and lags eight pages behind. The pages the leader passes
+// while the follower still has them ahead must stay resident until the
+// follower passes them too. A kInstant array: recycling is a replacement
+// decision and needs no latency, and every read here is synchronous.
+TEST(ScanRecyclingTest, PagesALaggingFollowerNeedsStayResident) {
+  DiskArray array(4, DiskMode::kInstant);
+  Catalog catalog(&array);
+  Table* t = catalog.CreateTable("t", Schema::PaperSchema()).value();
+  std::vector<int32_t> expected;
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_TRUE(t->file()
+                    .Append(Tuple({Value(int32_t{i}),
+                                   Value(std::string(1900, 'x'))}))
+                    .ok());
+    expected.push_back(i);
+  }
+  ASSERT_TRUE(t->file().Flush().ok());
+  ASSERT_EQ(t->file().num_pages(), 64u);
+  BufferPool pool(&array, 16);
+  ExecContext ctx;
+  ctx.pool = &pool;
+
+  SeqScanOp leader(t, Predicate(), ctx);
+  SeqScanOp follower(t, Predicate(), ctx);
+  std::vector<int32_t> leader_keys, follower_keys;
+  // Pulls rows from `scan` until it has loaded `pages` pages.
+  auto run_to = [](SeqScanOp* scan, uint64_t pages,
+                   std::vector<int32_t>* keys) {
+    Tuple row;
+    bool eof = false;
+    while (scan->pages_read() < pages) {
+      ASSERT_TRUE(scan->Next(&row, &eof).ok());
+      ASSERT_FALSE(eof);
+      keys->push_back(std::get<int32_t>(row.value(0)));
+    }
+  };
+  ASSERT_TRUE(leader.Open().ok());
+  run_to(&leader, 33, &leader_keys);  // on page 32
+  ASSERT_TRUE(follower.Open().ok());  // joins on page 32
+  run_to(&leader, 41, &leader_keys);  // on page 40: passed 32..39
+  EXPECT_EQ(pool.DoneListSize(), 0u);  // the follower needs all of them
+  EXPECT_GT(pool.stats().recycled, 0u);  // pages 0..31 streamed through
+
+  array.ResetStats();
+  run_to(&follower, 9, &follower_keys);  // passes 32..39, on page 40
+  EXPECT_EQ(array.total_stats().reads, 0u);
+  EXPECT_EQ(pool.DoneListSize(), 8u);  // now nobody needs 32..39
+
+  // Both finish: each returns the whole table once.
+  for (auto* keys : {&leader_keys, &follower_keys}) {
+    SeqScanOp* scan = keys == &leader_keys ? &leader : &follower;
+    Tuple row;
+    bool eof = false;
+    for (;;) {
+      ASSERT_TRUE(scan->Next(&row, &eof).ok());
+      if (eof) break;
+      keys->push_back(std::get<int32_t>(row.value(0)));
+    }
+    ASSERT_TRUE(scan->Close().ok());
+    std::sort(keys->begin(), keys->end());
+    EXPECT_EQ(*keys, expected);
+  }
+  EXPECT_EQ(t->file().live_scans(), 0u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+  EXPECT_EQ(pool.TotalPins(), 0u);
+}
+
 }  // namespace
 }  // namespace xprs

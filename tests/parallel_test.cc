@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <set>
@@ -19,7 +20,9 @@
 #include "parallel/page_partition.h"
 #include "parallel/range_partition.h"
 #include "sql/engine.h"
+#include "storage/buffer_pool.h"
 #include "storage/catalog.h"
+#include "storage/fault_injector.h"
 #include "util/rng.h"
 
 namespace xprs {
@@ -269,6 +272,28 @@ TEST_F(FragmentRunTest, SeqScanFragmentMatchesSequential) {
   EXPECT_EQ(result->tuples.size(), 201u * 6);  // 201 keys x 6 dups
 }
 
+// Holds every page read of a heap file until opened.
+class ReadGate : public FaultInjector {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  Status BeforeRead(BlockId) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return open_; });
+    return Status::OK();
+  }
+  Status BeforeWrite(BlockId, size_t*) override { return Status::OK(); }
+  Status BeforeFetch(BlockId) override { return Status::OK(); }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 TEST_F(FragmentRunTest, AdjustmentsDuringRunPreserveResult) {
   auto plan = MakeSeqScan(r_, Predicate());
   FragmentGraph graph = FragmentGraph::Decompose(*plan);
@@ -277,16 +302,61 @@ TEST_F(FragmentRunTest, AdjustmentsDuringRunPreserveResult) {
   opts.initial_parallelism = 2;
   opts.max_slots = 8;
   opts.ctx = ctx_;
+  // The slaves block in their first page read until the first adjustment
+  // is under way, so the scan cannot finish before it lands.
+  ReadGate gate;
+  r_->file().SetFaultInjector(&gate);
   ParallelFragmentRun run(&graph, graph.root_fragment(), {}, opts);
   ASSERT_TRUE(run.Start().ok());
-  // Fire adjustments while the scan races.
-  run.Adjust(6);
+  // Adjust waits for every slave to park at a page boundary, so it runs on
+  // its own thread while the gate holds them mid-read. Once the new degree
+  // is visible it has passed the run's finished check, and the rendezvous
+  // completes as soon as the gate opens.
+  std::thread adjuster([&run] { run.Adjust(6); });
+  while (run.parallelism() != 6) std::this_thread::yield();
+  gate.Open();
+  adjuster.join();
   run.Adjust(1);
   run.Adjust(4);
   auto result = run.Wait();
+  r_->file().SetFaultInjector(nullptr);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tuples.size(), 3000u);
   EXPECT_GE(run.num_adjustments(), 1);
+}
+
+// A page-partitioned scan of a file larger than the pool recycles the pages
+// its slaves pass, so the small relation scanned before it stays resident.
+TEST_F(FragmentRunTest, PartitionedScanOfALargeFileKeepsSmallOneCached) {
+  const uint32_t small_pages = s_->file().num_pages();
+  BufferPool pool(array_.get(), small_pages + 4);
+  ASSERT_GT(r_->file().num_pages(), pool.num_frames());
+  ExecContext ctx = ctx_;
+  ctx.pool = &pool;
+  auto small_scan = MakeSeqScan(s_, Predicate());
+  auto small_rows = ExecutePlanSequential(*small_scan, ctx);
+  ASSERT_TRUE(small_rows.ok());
+
+  auto plan = MakeSeqScan(r_, Predicate::Between(0, 100, 300));
+  FragmentGraph graph = FragmentGraph::Decompose(*plan);
+  ParallelFragmentRun::Options opts;
+  opts.initial_parallelism = 3;
+  opts.ctx = ctx;
+  ParallelFragmentRun run(&graph, graph.root_fragment(), {}, opts);
+  ASSERT_TRUE(run.Start().ok());
+  auto result = run.Wait();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto expected = ExecutePlanSequential(*plan, ctx_);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(Normalize(result->tuples), Normalize(*expected));
+  EXPECT_GT(pool.stats().recycled, 0u);
+
+  array_->ResetStats();
+  auto again = ExecutePlanSequential(*small_scan, ctx);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(Normalize(*again), Normalize(*small_rows));
+  EXPECT_EQ(array_->total_stats().reads, 0u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
 }
 
 TEST_F(FragmentRunTest, IndexScanFragmentMatchesSequential) {

@@ -651,5 +651,38 @@ TEST(ServeDifferentialTest, ConcurrentChaosReplayIsRetryableOrExact) {
   ASSERT_TRUE(status.ok()) << "(seed " << seed << "): " << status.ToString();
 }
 
+// Relations of up to about 20 pages: larger than the small-pool replay's
+// pool, which is floored at four sessions' pins, so concurrent scans of
+// them recycle frames while the other sessions' pages stay pinned.
+TEST(ServeDifferentialTest, ConcurrentReplayRecyclesLargerThanPoolRelations) {
+  const uint64_t seed = TestSeed(0x5E7E0003);
+  DiskArray array(4, DiskMode::kInstant);
+  Catalog catalog(&array);
+  Rng rng(seed);
+  GeneratedWorkloadOptions workload;
+  workload.min_tuples = 600;
+  workload.max_tuples = 1200;
+  workload.max_text_width = 120;
+  auto tables = BuildGeneratedWorkload(&catalog, workload, &rng);
+  ASSERT_TRUE(tables.ok());
+
+  DifferentialOptions options;
+  options.concurrent_sessions = 4;
+  DifferentialOracle oracle(&array, options, seed ^ 1);
+  QueryGenerator::Options shapes;
+  shapes.max_joins = 1;
+  QueryGenerator gen(tables.value(), shapes, seed ^ 2);
+
+  std::vector<std::unique_ptr<PlanNode>> owned;
+  std::vector<const PlanNode*> plans;
+  for (int i = 0; i < 16; ++i) {
+    owned.push_back(gen.NextPlan());
+    plans.push_back(owned.back().get());
+  }
+  Status status = oracle.CheckPlansConcurrent(plans);
+  ASSERT_TRUE(status.ok()) << "(seed " << seed << "): " << status.ToString();
+  EXPECT_GT(oracle.report().pool_recycled, 0u);
+}
+
 }  // namespace
 }  // namespace xprs

@@ -697,6 +697,155 @@ TEST(BufferPoolTest, AttachedMetricsCountReadAhead) {
             pool.stats().load_waits);
 }
 
+// --- scan-aware recycling ----------------------------------------------
+
+// Scans `file` through `pool` page by page as a lone serial scan does:
+// registered, and, when the file is larger than the pool, marking each page
+// done once it has passed it and no other live scan still needs it.
+void ScanThroughPool(const HeapFile& file, BufferPool* pool) {
+  uint32_t start = 0;
+  bool joined = false;
+  const uint64_t id = file.RegisterScan(&start, &joined);
+  const bool recycle = file.num_pages() > pool->num_frames();
+  for (uint32_t p = 0; p < file.num_pages(); ++p) {
+    file.UpdateScan(id, p);
+    const BlockId block = file.BlockOf(p).value();
+    ASSERT_TRUE(pool->Fetch(block).ok());
+    if (recycle && !file.PageNeededByOtherScan(id, p)) pool->MarkDone(block);
+  }
+  file.UnregisterScan(id);
+}
+
+TEST(BufferPoolTest, SmallFileStaysCachedAcrossAScanOfALargerFile) {
+  DiskArray array(4, DiskMode::kInstant);
+  HeapFile small = MakeLoadedFile(&array, 12, 1900);
+  HeapFile large = MakeLoadedFile(&array, 100, 1900);
+  BufferPool pool(&array, small.num_pages() + 2);
+  ASSERT_GT(large.num_pages(), pool.num_frames());
+  MetricsRegistry metrics;
+  pool.AttachMetrics(&metrics);
+
+  ScanThroughPool(small, &pool);
+  ScanThroughPool(large, &pool);
+  array.ResetStats();
+  ScanThroughPool(small, &pool);
+  // The large file streamed through one frame: its first page took a free
+  // one, every later page recycled the page before it.
+  EXPECT_EQ(array.total_stats().reads, 0u);
+  const BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.recycled, large.num_pages() - 1u);
+  EXPECT_EQ(stats.misses, small.num_pages() + large.num_pages());
+  EXPECT_EQ(stats.hits, small.num_pages());
+  EXPECT_EQ(metrics.counter("bufferpool.recycled")->value(), stats.recycled);
+  EXPECT_NE(pool.ToString().find(
+                "recycled=" + std::to_string(stats.recycled) + "}"),
+            std::string::npos);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
+TEST(BufferPoolTest, HitOnADoneFrameRevivesIt) {
+  DiskArray array(1, DiskMode::kInstant);
+  std::vector<BlockId> blocks = FillBlocks(&array, 3);
+  BufferPool pool(&array, 2);
+  ASSERT_TRUE(pool.Fetch(blocks[0]).ok());
+  ASSERT_TRUE(pool.Fetch(blocks[1]).ok());
+  pool.MarkDone(blocks[0]);
+  ASSERT_TRUE(pool.Fetch(blocks[0]).ok());  // a hit: no longer done
+  pool.MarkDone(blocks[1]);
+  ASSERT_TRUE(pool.Fetch(blocks[2]).ok());  // recycles blocks[1]'s frame
+  EXPECT_EQ(pool.stats().recycled, 1u);
+  EXPECT_EQ(pool.DoneListSize(), 0u);
+
+  array.ResetStats();
+  {
+    auto h = pool.Fetch(blocks[0]);
+    ASSERT_TRUE(h.ok());
+    EXPECT_EQ(FirstByte(h->page()), 0);
+  }
+  EXPECT_EQ(array.total_stats().reads, 0u);  // still resident
+}
+
+// Holds disk reads of one block until opened.
+class BlockGate : public FaultInjector {
+ public:
+  explicit BlockGate(BlockId block) : block_(block) {}
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  Status BeforeRead(BlockId block) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return open_ || block != block_; });
+    return Status::OK();
+  }
+  Status BeforeWrite(BlockId, size_t*) override { return Status::OK(); }
+  Status BeforeFetch(BlockId) override { return Status::OK(); }
+
+ private:
+  const BlockId block_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(BufferPoolTest, PinnedOrLoadingDoneFramesAreNeverHandedOut) {
+  DiskArray array(2, DiskMode::kThrottled, FastTimings());
+  std::vector<BlockId> blocks = FillBlocks(&array, 3);
+  BlockGate gate(blocks[1]);
+  array.SetFaultInjector(&gate);
+  {
+    BufferPool pool(&array, 3);
+    pool.Prefetch(blocks[1]);  // loading until the gate opens
+    auto pinned = pool.Fetch(blocks[0]);
+    ASSERT_TRUE(pinned.ok());
+    pool.MarkDone(blocks[0]);
+    pool.MarkDone(blocks[1]);
+    EXPECT_EQ(pool.DoneListSize(), 2u);
+
+    // Both done frames are skipped and left to the clock, which finds the
+    // free third frame.
+    auto other = pool.Fetch(blocks[2]);
+    ASSERT_TRUE(other.ok()) << other.status().ToString();
+    EXPECT_EQ(FirstByte(other->page()), 2);
+    EXPECT_EQ(FirstByte(pinned->page()), 0);
+    EXPECT_EQ(pool.stats().recycled, 0u);
+    EXPECT_EQ(pool.DoneListSize(), 0u);
+    EXPECT_EQ(pool.TotalPins(), 2u);  // MarkDone took and dropped none
+
+    gate.Open();
+    auto loaded = pool.Fetch(blocks[1]);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(FirstByte(loaded->page()), 1);
+    EXPECT_EQ(pool.stats().hits, 1u);
+  }
+  array.SetFaultInjector(nullptr);
+}
+
+TEST(BufferPoolTest, DoneListHoldsEachFrameAtMostOnce) {
+  DiskArray array(1, DiskMode::kInstant);
+  std::vector<BlockId> blocks = FillBlocks(&array, 6);
+  BufferPool pool(&array, 4);
+  pool.MarkDone(blocks[0]);  // not resident: a no-op
+  EXPECT_EQ(pool.DoneListSize(), 0u);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(pool.Fetch(blocks[i]).ok());
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 4; ++i) {
+      pool.MarkDone(blocks[i]);
+      ASSERT_TRUE(pool.Fetch(blocks[i]).ok());  // revived, entry still listed
+      pool.MarkDone(blocks[i]);
+      EXPECT_LE(pool.DoneListSize(), pool.num_frames());
+    }
+  }
+  EXPECT_EQ(pool.DoneListSize(), 4u);
+  // Two claims take the two oldest done frames.
+  ASSERT_TRUE(pool.Fetch(blocks[4]).ok());
+  ASSERT_TRUE(pool.Fetch(blocks[5]).ok());
+  EXPECT_EQ(pool.stats().recycled, 2u);
+  EXPECT_EQ(pool.DoneListSize(), 2u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
 // --- synchronized-scan registry -----------------------------------------
 
 TEST(HeapFileTest, ScanRegistryJoinsTheMostRecentLiveScan) {
@@ -721,6 +870,36 @@ TEST(HeapFileTest, ScanRegistryJoinsTheMostRecentLiveScan) {
   EXPECT_EQ(start, 4u);
   file.UnregisterScan(first);
   EXPECT_EQ(file.live_scans(), 1u);
+}
+
+TEST(HeapFileTest, ScanRegistryKnowsWhichPagesAScanStillNeeds) {
+  DiskArray array(4, DiskMode::kInstant);
+  HeapFile file = MakeLoadedFile(&array, 40, 1900);
+  ASSERT_EQ(file.num_pages(), 10u);
+  EXPECT_FALSE(file.PageNeededByOtherScan(0, 3));  // no live scan
+  uint32_t start = 0;
+  bool joined = false;
+  const uint64_t lone = file.RegisterScan(&start, &joined);
+  // On its start page a scan has the whole file ahead of it.
+  for (uint32_t p = 0; p < 10; ++p)
+    EXPECT_TRUE(file.PageNeededByOtherScan(0, p));
+  EXPECT_FALSE(file.PageNeededByOtherScan(lone, 3));  // its own id is skipped
+  file.UpdateScan(lone, 6);
+  EXPECT_FALSE(file.PageNeededByOtherScan(0, 5));  // passed
+  EXPECT_TRUE(file.PageNeededByOtherScan(0, 6));   // the page it is on
+  EXPECT_TRUE(file.PageNeededByOtherScan(0, 9));
+
+  // A joiner starts at page 6 and wraps: it needs 8, 9, 0..5.
+  const uint64_t joiner = file.RegisterScan(&start, &joined);
+  ASSERT_EQ(start, 6u);
+  file.UpdateScan(joiner, 8);
+  EXPECT_TRUE(file.PageNeededByOtherScan(lone, 2));
+  EXPECT_TRUE(file.PageNeededByOtherScan(lone, 8));
+  EXPECT_FALSE(file.PageNeededByOtherScan(lone, 7));
+  EXPECT_TRUE(file.PageNeededByOtherScan(joiner, 7));  // the lone scan's
+  file.UnregisterScan(lone);
+  EXPECT_FALSE(file.PageNeededByOtherScan(0, 7));
+  file.UnregisterScan(joiner);
 }
 
 TEST(CatalogTest, CreateAndLookup) {

@@ -11,8 +11,9 @@
 //
 // --chaos additionally re-runs every query through CheckPlanChaos: all
 // modes execute with a rate-`--fault-rate` read-fault injector armed, and
-// must either match the reference or fail retryably (the resilience
-// ladder's recoveries show up in the per-iteration report).
+// must either match the reference or fail retryably (the statement
+// retry's recoveries show up in the per-iteration report and the final
+// line's chaos_recovered / chaos_retryable totals).
 //
 // --timeout-ms=N arms a watchdog: any single oracle call that runs longer
 // than N ms (a hang, a livelock, a runaway retry loop) prints the replay
@@ -177,6 +178,8 @@ int main(int argc, char** argv) {
   xprs::Rng rng(seed);
   uint64_t queries_checked = 0;
   uint64_t pool_recycled = 0;
+  uint64_t chaos_recovered = 0;
+  uint64_t chaos_retryable = 0;
   for (int iter = 0; iter < iters; ++iter) {
     xprs::DiskArray array(4, xprs::DiskMode::kInstant);
     xprs::Catalog catalog(&array);
@@ -241,6 +244,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     pool_recycled += oracle.report().pool_recycled;
+    chaos_recovered += oracle.report().chaos_recovered;
+    chaos_retryable += oracle.report().chaos_retryable_failures;
     if ((iter + 1) % 25 == 0) {
       std::printf("  iter %d/%d: %s\n", iter + 1, iters,
                   oracle.report().ToString().c_str());
@@ -249,7 +254,9 @@ int main(int argc, char** argv) {
   }
   std::printf("stress_differential: PASS — %" PRIu64
               " queries checked over %d iterations, %" PRIu64
-              " pool frames recycled\n",
-              queries_checked, iters, pool_recycled);
+              " pool frames recycled, chaos_recovered=%" PRIu64
+              " chaos_retryable=%" PRIu64 "\n",
+              queries_checked, iters, pool_recycled, chaos_recovered,
+              chaos_retryable);
   return 0;
 }

@@ -81,8 +81,11 @@ echo "==> [3/10] vectorized executor throughput gate"
 # the scan+filter or hash-join speedup drops below 2x. Results land in
 # build/ (gitignored) for the perf dashboard; correctness of the batch
 # path itself is covered by the tier1 differential oracle above, which
-# runs every generated plan through six vectorized modes.
-./build/bench/bench_exec --rows=200000 --reps=5 --out=build/BENCH_exec.json
+# runs every generated plan through six vectorized modes. Each rep runs
+# both engines back to back and each side keeps its best rep, so a noisy
+# stretch of the host cannot sink one side alone; 15 reps give both
+# sides enough chances at a quiet one.
+./build/bench/bench_exec --rows=200000 --reps=15 --out=build/BENCH_exec.json
 python3 - build/BENCH_exec.json <<'PYEOF'
 import json, sys
 
@@ -263,9 +266,10 @@ ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
 
 echo "==> [8/10] tsan config (concurrency subset)"
 # ThreadSanitizer catches the races the resilience layer is most exposed
-# to: the cancellation token, the done-queue control loop, the retry
-# ladder re-launching fragment runs, buffer-pool admission counters, the
-# serving layer's scheduler/session machinery, and the hash-join tables
+# to: the cancellation token, the done-queue control loop draining its
+# runs when one fails, the statement retry re-running a served query on
+# its worker, buffer-pool admission counters, the serving layer's
+# scheduler/session machinery and circuit breakers, and the hash-join tables
 # the slaves of a parallel fragment run build once and probe together
 # (batch_test covers the batch operators those slaves share), the buffer
 # pool's read-ahead IO threads and disk reads racing allocation

@@ -6,8 +6,8 @@
 // building a private copy of the table, the first slave to Open a join
 // builds it into the join's SharedHashBuild; the others block until it is
 // ready and then probe the same table read-only. A failed build is
-// remembered, so every slave of the run fails the same way; the master's
-// retry ladder re-creates the run, and with it fresh builds.
+// remembered, so every slave of the run fails the same way; the statement
+// retry's next attempt creates a new run, and with it fresh builds.
 
 #ifndef XPRS_EXEC_SHARED_BUILD_H_
 #define XPRS_EXEC_SHARED_BUILD_H_

@@ -58,43 +58,18 @@ std::map<int, const TempResult*> ParallelMaster::GatherInputs(
   return inputs;
 }
 
-void ParallelMaster::LaunchRun(TaskId id, int parallelism, bool notify) {
-  TaskState& task = tasks_.at(id);
-  QueryState& query = queries_[task.query_index];
-
-  ParallelFragmentRun::Options run_options;
-  run_options.initial_parallelism = parallelism;  // Degree()-clamped
-  run_options.max_slots = std::max(1, options_.max_slots);
-  run_options.ctx = options_.ctx;
-
-  task.run = std::make_unique<ParallelFragmentRun>(
-      &query.graph, task.frag_id, GatherInputs(task), run_options);
-  task.waited = false;
-  if (notify) {
-    task.run->set_on_finish([this, id] {
-      {
-        std::lock_guard<std::mutex> lock(done_mutex_);
-        done_queue_.push_back(id);
-      }
-      done_cv_.notify_all();
-    });
-  }
-  XPRS_CHECK_OK(task.run->Start());
-}
-
 void ParallelMaster::StartTask(TaskId id, double parallelism) {
   TaskState& task = tasks_.at(id);
   XPRS_CHECK(task.run == nullptr);
   QueryState& query = queries_[task.query_index];
 
-  task.parallelism = Degree(parallelism);
-  task.failures = 0;
+  const int degree = Degree(parallelism);
   if (options_.obs.tracing()) {
     options_.obs.Emit(
         {StrFormat("frag q%lld/f%d", static_cast<long long>(query.job.query_id),
                    task.frag_id),
          "parallel", 'B', Now(), 0.0, id,
-         {{"parallelism", task.parallelism},
+         {{"parallelism", degree},
           {"seq_time_est", task.profile.seq_time}}});
   }
   if (options_.obs.metrics != nullptr)
@@ -102,15 +77,28 @@ void ParallelMaster::StartTask(TaskId id, double parallelism) {
   RecordTimeline(options_.ctx.profile,
                  query.graph.fragment(task.frag_id).root,
                  AdjustmentEvent::Kind::kStart, Now(), task.frag_id, id,
-                 task.parallelism);
-  LaunchRun(id, task.parallelism, /*notify=*/true);
+                 degree);
+
+  ParallelFragmentRun::Options run_options;
+  run_options.initial_parallelism = degree;
+  run_options.max_slots = std::max(1, options_.max_slots);
+  run_options.ctx = options_.ctx;
+  task.run = std::make_unique<ParallelFragmentRun>(
+      &query.graph, task.frag_id, GatherInputs(task), run_options);
+  task.run->set_on_finish([this, id] {
+    {
+      std::lock_guard<std::mutex> lock(done_mutex_);
+      done_queue_.push_back(id);
+    }
+    done_cv_.notify_all();
+  });
+  XPRS_CHECK_OK(task.run->Start());
 }
 
 void ParallelMaster::AdjustParallelism(TaskId id, double parallelism) {
   TaskState& task = tasks_.at(id);
   XPRS_CHECK(task.run != nullptr);
   const int target = Degree(parallelism);
-  task.parallelism = target;  // retries re-dispatch at the adjusted degree
   task.run->Adjust(target);
   if (options_.obs.tracing()) {
     options_.obs.Emit({"adjust", "parallel", 'i', Now(), 0.0, id,
@@ -187,12 +175,7 @@ StatusOr<MasterRunResult> ParallelMaster::Run(
           Status live = cancel->Check();
           if (!live.ok()) {
             lock.unlock();
-            EmitResilienceEvent(
-                options_.obs,
-                live.code() == StatusCode::kDeadlineExceeded
-                    ? "cancel.deadline"
-                    : "cancel.query",
-                Now(), -1, {{"status", live.ToString()}});
+            EmitCancelEvent(live);
             DrainOutstanding();
             return live;
           }
@@ -204,23 +187,11 @@ StatusOr<MasterRunResult> ParallelMaster::Run(
     auto temp = task.run->Wait();
     task.waited = true;
     if (!temp.ok()) {
-      temp = RecoverTask(id, temp.status(), &result);
-      if (!temp.ok()) {
-        // A slave can observe the token before the control loop does;
-        // publish the cancel event on this exit path too.
-        const StatusCode code = temp.status().code();
-        if (code == StatusCode::kCancelled ||
-            code == StatusCode::kDeadlineExceeded) {
-          EmitResilienceEvent(options_.obs,
-                              code == StatusCode::kDeadlineExceeded
-                                  ? "cancel.deadline"
-                                  : "cancel.query",
-                              Now(), -1,
-                              {{"status", temp.status().ToString()}});
-        }
-        DrainOutstanding();
-        return temp.status();
-      }
+      // A slave can observe the token before the control loop does;
+      // publish the cancel event on this exit path too.
+      EmitCancelEvent(temp.status());
+      DrainOutstanding();
+      return temp.status();
     }
     task.result = std::move(temp).value();
     task.completed = true;
@@ -247,20 +218,6 @@ StatusOr<MasterRunResult> ParallelMaster::Run(
   XPRS_CHECK(scheduler.Idle());
 
   result.elapsed_seconds = Now();
-  if (options_.obs.metrics != nullptr) {
-    // Mirror the ladder counters into metrics so recoveries are visible
-    // in snapshots even when the caller drops MasterRunResult.
-    MetricsRegistry* m = options_.obs.metrics;
-    if (result.fragment_retries > 0)
-      m->counter("resilience.retry.fragment.total")
-          ->Increment(result.fragment_retries);
-    if (result.parallelism_degrades > 0)
-      m->counter("resilience.degrade.parallelism.total")
-          ->Increment(result.parallelism_degrades);
-    if (result.serial_fallbacks > 0)
-      m->counter("resilience.degrade.serial.total")
-          ->Increment(result.serial_fallbacks);
-  }
   result.num_adjustments = scheduler.num_adjustments();
   result.decisions = scheduler.decisions();
   for (auto& qs : queries_) {
@@ -271,58 +228,14 @@ StatusOr<MasterRunResult> ParallelMaster::Run(
   return result;
 }
 
-StatusOr<TempResult> ParallelMaster::RecoverTask(TaskId id, Status failure,
-                                                 MasterRunResult* result) {
-  TaskState& task = tasks_.at(id);
-  QueryState& query = queries_[task.query_index];
-  const PlanNode* frag_root = query.graph.fragment(task.frag_id).root;
-  while (IsRetryableStatus(failure)) {
-    ++task.failures;
-    if (task.failures < options_.retry.max_attempts) {
-      // Same fragment, same granule protocol, fresh run.
-      ++result->fragment_retries;
-      EmitResilienceEvent(options_.obs, "retry.fragment", Now(), id,
-                          {{"failures", task.failures},
-                           {"parallelism", task.parallelism},
-                           {"status", failure.ToString()}});
-    } else if (task.parallelism > 1) {
-      // Rung exhausted: degrade via the §2.4 adjustment path — the next
-      // attempt runs at half the parallelism with a fresh retry budget.
-      task.parallelism = std::max(1, task.parallelism / 2);
-      task.failures = 0;
-      ++result->parallelism_degrades;
-      EmitResilienceEvent(options_.obs, "degrade.parallelism", Now(), id,
-                          {{"parallelism", task.parallelism},
-                           {"status", failure.ToString()}});
-      RecordTimeline(options_.ctx.profile, frag_root,
-                     AdjustmentEvent::Kind::kAdjust, Now(), task.frag_id, id,
-                     task.parallelism);
-    } else if (options_.serial_fallback) {
-      // Ladder floor: one pass with the trusted serial executor on the
-      // master thread.
-      ++result->serial_fallbacks;
-      EmitResilienceEvent(options_.obs, "degrade.serial", Now(), id,
-                          {{"status", failure.ToString()}});
-      RecordTimeline(options_.ctx.profile, frag_root,
-                     AdjustmentEvent::Kind::kAdjust, Now(), task.frag_id, id,
-                     1.0);
-      return ExecuteFragment(query.graph, task.frag_id, GatherInputs(task),
-                             options_.ctx);
-    } else {
-      return failure;
-    }
-    XPRS_RETURN_IF_ERROR(BackoffSleep(options_.retry,
-                                      std::max(1, task.failures),
-                                      options_.ctx.cancel));
-    // The recovery attempt is awaited synchronously (no done-queue
-    // notification), so the main loop never sees it twice.
-    LaunchRun(id, task.parallelism, /*notify=*/false);
-    auto attempt = task.run->Wait();
-    task.waited = true;
-    if (attempt.ok()) return attempt;
-    failure = attempt.status();
-  }
-  return failure;
+void ParallelMaster::EmitCancelEvent(const Status& status) {
+  const StatusCode code = status.code();
+  if (code != StatusCode::kCancelled && code != StatusCode::kDeadlineExceeded)
+    return;
+  EmitResilienceEvent(options_.obs,
+                      code == StatusCode::kDeadlineExceeded ? "cancel.deadline"
+                                                            : "cancel.query",
+                      Now(), -1, {{"status", status.ToString()}});
 }
 
 void ParallelMaster::DrainOutstanding() {

@@ -49,11 +49,6 @@ struct MasterRunResult {
   /// The scheduler's full decision log (starts and adjustments, in order);
   /// the differential harness validates it with ValidateSchedDecisions.
   std::vector<SchedDecision> decisions;
-  /// Resilience ladder activity: fragment re-dispatches after transient
-  /// faults, parallelism halvings, and serial-executor fallbacks.
-  size_t fragment_retries = 0;
-  size_t parallelism_degrades = 0;
-  size_t serial_fallbacks = 0;
 };
 
 /// Master backend options.
@@ -61,21 +56,11 @@ struct MasterOptions {
   SchedulerOptions sched;
   ExecContext ctx;
   /// Upper bound on slave slots per fragment run: the scheduler's
-  /// commanded degrees (start, adjustment, retry) are clamped to it.
+  /// commanded degrees (start, adjustment) are clamped to it.
   int max_slots = 16;
   /// Trace/metrics publishing for the run (fragment spans, adjustment
   /// events); also handed to the internal scheduler. Optional.
   Observability obs;
-  /// Retry budget per rung of the fragment degradation ladder: a
-  /// ParallelFragmentRun that fails with a retryable status is re-run
-  /// (same fragment, same granule protocol) up to retry.max_attempts
-  /// times with exponential backoff, then the ladder halves the
-  /// parallelism (§2.4 adjustment path) and retries again, down to 1.
-  RetryPolicy retry;
-  /// Final rung: after the ladder bottoms out at parallelism 1, re-run
-  /// the fragment once with the trusted serial executor on the master
-  /// thread. Disable to surface the last failure instead.
-  bool serial_fallback = true;
 };
 
 /// The master backend. Not reusable across Run() calls concurrently.
@@ -84,7 +69,10 @@ class ParallelMaster : public ExecutionEnv {
   ParallelMaster(const MachineConfig& machine, const CostModel* model,
                  const MasterOptions& options);
 
-  /// Runs all queries to completion under the configured policy.
+  /// Runs all queries to completion under the configured policy. A
+  /// failed fragment run fails the whole call: the outstanding runs are
+  /// drained (no pins survive) and the run's status is returned, for the
+  /// caller's statement retry to decide on.
   StatusOr<MasterRunResult> Run(const std::vector<QueryJob>& queries);
 
   // --- ExecutionEnv (invoked by the scheduler on the master thread) ---
@@ -104,11 +92,6 @@ class ParallelMaster : public ExecutionEnv {
     /// Wait() was called on `run` (its threads are joined and its result
     /// consumed); guards against double-draining.
     bool waited = false;
-    /// Commanded parallelism of the current attempt; halved by the
-    /// degradation ladder.
-    int parallelism = 1;
-    /// Retryable failures at the current rung.
-    int failures = 0;
   };
   struct QueryState {
     QueryJob job;
@@ -124,15 +107,8 @@ class ParallelMaster : public ExecutionEnv {
   int Degree(double parallelism) const;
   /// Materialized inputs from the task's completed dependency fragments.
   std::map<int, const TempResult*> GatherInputs(const TaskState& task);
-  /// (Re-)creates and starts the task's ParallelFragmentRun at
-  /// `parallelism`. `notify` wires the completion into the done queue;
-  /// the recovery path waits synchronously instead.
-  void LaunchRun(TaskId id, int parallelism, bool notify);
-  /// Runs the degradation ladder for a task whose run failed with
-  /// `failure`: bounded retries at the current parallelism, halve and
-  /// retry, then one serial-executor pass. Blocks the master thread.
-  StatusOr<TempResult> RecoverTask(TaskId id, Status failure,
-                                   MasterRunResult* result);
+  /// Publishes a cancel / deadline event when `status` is one.
+  void EmitCancelEvent(const Status& status);
   /// Joins every started-but-unconsumed run (cancellation/failure exit:
   /// slaves observe the token or finish; pins drain before Run returns).
   void DrainOutstanding();

@@ -50,6 +50,22 @@ int JitteredBackoffMs(const RetryPolicy& policy, int failures, Rng* rng) {
                     static_cast<uint64_t>(base) + 1));
 }
 
+namespace retry_internal {
+
+Status PrepareRetry(const StatementRetry& retry, int attempt,
+                    const Status& failure) {
+  if (!IsRetryableStatus(failure) || attempt >= retry.policy.max_attempts ||
+      (retry.cancel != nullptr && retry.cancel->cancelled()))
+    return failure;
+  EmitResilienceEvent(retry.obs, "serve.query_retry", -1.0, retry.track,
+                      {{"attempt", attempt}, {"status", failure.ToString()}});
+  XPRS_RETURN_IF_ERROR(BackoffSleepMs(
+      JitteredBackoffMs(retry.policy, attempt, retry.jitter), retry.cancel));
+  return Status::OK();
+}
+
+}  // namespace retry_internal
+
 void EmitResilienceEvent(
     const Observability& obs, const std::string& kind, double time_seconds,
     int64_t track, std::vector<std::pair<std::string, TraceValue>> args) {

@@ -357,6 +357,14 @@ void CircuitBreaker::RecordFailure() {
   }
 }
 
+void CircuitBreaker::Record(const Status& outcome) {
+  if (outcome.ok()) {
+    RecordSuccess();
+  } else if (outcome.code() == StatusCode::kIoError) {
+    RecordFailure();
+  }
+}
+
 bool CircuitBreaker::IsBreakerOpen(const Status& status) {
   return status.code() == StatusCode::kResourceExhausted &&
          status.message().rfind(kBreakerPrefix, 0) == 0;

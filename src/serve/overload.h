@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "resilience/retry.h"
 #include "serve/lifecycle.h"
 #include "util/status.h"
 
@@ -223,7 +224,8 @@ struct CircuitBreakerOptions {
 };
 
 /// One fault domain's breaker (storage reads, spill io). Thread-safe.
-class CircuitBreaker {
+/// As an AttemptGate it gates every attempt of a retried statement.
+class CircuitBreaker : public AttemptGate {
  public:
   CircuitBreaker(std::string domain, const CircuitBreakerOptions& options,
                  const Observability& obs);
@@ -234,13 +236,16 @@ class CircuitBreaker {
   /// OK when an attempt may proceed (closed, or half-open probe);
   /// otherwise the fast-fail status (IsBreakerOpen) without touching the
   /// domain.
-  Status Allow();
+  Status Allow() override;
 
   void RecordSuccess();
   void RecordFailure();
+  /// A success closes toward healthy; a kIoError counts as a domain
+  /// failure; any other outcome says nothing about the domain.
+  void Record(const Status& outcome) override;
 
   /// True iff `status` is a breaker fast-fail. Fast-fails carry
-  /// kResourceExhausted (nominally retryable) — retry ladders must check
+  /// kResourceExhausted (nominally retryable) — a statement retry must check
   /// this predicate and stop instead of spinning on an open breaker.
   static bool IsBreakerOpen(const Status& status);
 
@@ -294,7 +299,7 @@ struct PoisonEntry {
 class PoisonLog {
  public:
   /// Statements that fail `quarantine_failures` times (terminal failures,
-  /// after the per-query retry ladder) are quarantined. <= 0 disables
+  /// after the statement retry) are quarantined. <= 0 disables
   /// recording and quarantining entirely.
   explicit PoisonLog(int quarantine_failures = 3,
                      const Observability& obs = Observability());

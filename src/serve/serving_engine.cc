@@ -128,15 +128,17 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
     return poison;
   }
 
-  // Parse, bind and cost synchronously so malformed SQL fails here, not on
-  // a worker thread; the estimate drives admission.
-  StatusOr<TaskProfile> estimate_or =
-      engine_.EstimateProfile(sql, options.shape);
-  if (!estimate_or.ok()) {
-    if (lifecycle != nullptr) lifecycle->OnRejected(estimate_or.status());
-    return estimate_or.status();
+  // Parse, bind and optimize synchronously so malformed SQL fails here,
+  // not on a worker thread. The prepared plan's estimate drives admission,
+  // and the same plan runs on every attempt.
+  StatusOr<std::shared_ptr<const PreparedStatement>> prepared =
+      engine_.Prepare(sql, options.shape);
+  if (!prepared.ok()) {
+    if (lifecycle != nullptr) lifecycle->OnRejected(prepared.status());
+    return prepared.status();
   }
-  TaskProfile estimate = std::move(*estimate_or);
+  std::shared_ptr<const PreparedStatement> stmt = std::move(*prepared);
+  TaskProfile estimate = engine_.EstimateProfile(*stmt);
   estimate.query_id = session->id();
   if (!session->label_.empty()) estimate.name = session->label_;
 
@@ -165,17 +167,17 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
   };
 
   // The closure owns the token (keeps it alive past a dropped handle) and
-  // shapes execution around the scheduler's grant. Every grant — serial,
-  // parallel or degraded to spill — runs the batch engine; subtrees it
-  // cannot build (index scans, spilling operators) fall back to the tuple
-  // operators. With the slow-query log armed, every statement runs through
-  // EXPLAIN ANALYZE so an entry can name the operators the time went to.
+  // the prepared statement, and shapes execution around the scheduler's
+  // grant. Every grant — serial, parallel or degraded to spill — runs the
+  // batch engine; subtrees it cannot build (index scans, spilling
+  // operators) fall back to the tuple operators. With the slow-query log
+  // armed, every statement runs through EXPLAIN ANALYZE so an entry can
+  // name the operators the time went to.
   const bool allow_parallel = options.allow_parallel;
-  const TreeShape shape = options.shape;
   const bool profiled = slow_log_.enabled();
   const uint64_t replay_seed = options.replay_seed;
   const int64_t session_id = session->id();
-  request.job = [this, sql, token, shape, allow_parallel, lifecycle, profiled,
+  request.job = [this, stmt, token, allow_parallel, lifecycle, profiled,
                  replay_seed,
                  session_id](const ExecGrant& grant) -> StatusOr<SqlResult> {
     auto run_once = [&]() -> StatusOr<SqlResult> {
@@ -190,60 +192,31 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
       if (grant.degrade_to_spill) {
         ctx.spill.temp_array = &spill_array_;
         ctx.spill.memory_tuples = options_.degrade_spill_tuples;
-        return profiled ? engine_.ExplainAnalyze(sql, ctx, shape)
-                        : engine_.Execute(sql, ctx, shape);
-      }
-      if (grant.parallelism > 1 && allow_parallel) {
+      } else if (grant.parallelism > 1 && allow_parallel) {
         MasterOptions master = options_.master;
         master.ctx = ctx;
         master.max_slots = grant.parallelism;
         master.obs = options_.serve.obs;
-        return profiled ? engine_.ExplainAnalyzeParallel(sql, master, shape)
-                        : engine_.ExecuteParallel(sql, master, shape);
+        return engine_.ExecuteParallel(*stmt, master, profiled);
       }
-      return profiled ? engine_.ExplainAnalyze(sql, ctx, shape)
-                      : engine_.Execute(sql, ctx, shape);
+      return engine_.Execute(*stmt, ctx, profiled);
     };
 
-    // Whole-statement retry ladder above the per-fragment one. The breaker
-    // for the query's fault domain is consulted before every attempt: an
-    // open breaker fast-fails the statement instead of hammering the disk,
-    // and that fast-fail is never retried or poisoned.
-    CircuitBreaker& breaker =
-        grant.degrade_to_spill ? spill_breaker_ : read_breaker_;
+    // The statement's one retry owner. The breaker for the query's fault
+    // domain gates every attempt: an open breaker fast-fails the statement
+    // instead of hammering the disk, and that fast-fail is never retried
+    // or poisoned.
     Rng jitter(options_.retry_jitter_seed ^
                static_cast<uint64_t>(grant.query_id));
-    StatusOr<SqlResult> result = Status::Internal("query never ran");
+    StatementRetry retry;
+    retry.policy = options_.query_retry;
+    retry.cancel = token.get();
+    retry.jitter = &jitter;
+    retry.obs = options_.serve.obs;
+    retry.track = grant.query_id;
+    retry.gate = grant.degrade_to_spill ? &spill_breaker_ : &read_breaker_;
     int attempts = 0;
-    for (int attempt = 1;; ++attempt) {
-      Status gate = breaker.Allow();
-      if (!gate.ok()) {
-        result = gate;
-        break;
-      }
-      ++attempts;
-      result = run_once();
-      if (result.ok()) {
-        breaker.RecordSuccess();
-        break;
-      }
-      const Status& st = result.status();
-      if (st.code() == StatusCode::kIoError) breaker.RecordFailure();
-      if (!IsRetryableStatus(st) ||
-          attempt >= options_.query_retry.max_attempts ||
-          (token != nullptr && token->cancelled()))
-        break;
-      EmitResilienceEvent(options_.serve.obs, "serve.query_retry", -1.0,
-                          grant.query_id,
-                          {{"attempt", attempt}, {"status", st.ToString()}});
-      Status slept = BackoffSleepMs(
-          JitteredBackoffMs(options_.query_retry, attempt, &jitter),
-          token.get());
-      if (!slept.ok()) {
-        result = slept;
-        break;
-      }
-    }
+    StatusOr<SqlResult> result = RetryStatement(retry, run_once, &attempts);
 
     if (!result.ok()) {
       // Terminal failure: record toward quarantine unless the failure was
@@ -258,7 +231,7 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
         snap.memory_pages = grant.memory_pages;
         snap.io_rate = grant.io_rate;
         snap.degraded = grant.degrade_to_spill;
-        poison_log_.RecordFailure(sql, session_id, snap, st, attempts,
+        poison_log_.RecordFailure(stmt->sql, session_id, snap, st, attempts,
                                   replay_seed);
       }
     }

@@ -149,10 +149,11 @@ class ServingEngine {
     double slow_query_seconds = 0.0;
     /// How many operators a slow-query entry names.
     size_t slow_query_top_k = 3;
-    /// Whole-statement retry ladder above the per-fragment one: transient
-    /// (IoError / ResourceExhausted) failures of the entire query re-run
-    /// it on the worker with exponential backoff + jitter before the
-    /// failure surfaces or poisons the statement.
+    /// The statement retry (RetryStatement): a transient (IoError /
+    /// ResourceExhausted) failure of the query re-runs its prepared plan
+    /// on the worker, under the same grant, after an exponential backoff
+    /// with jitter, up to max_attempts executions in all, before the
+    /// failure surfaces or counts toward poisoning the statement.
     RetryPolicy query_retry;
     /// Seed mixed with the query id for the retry jitter, so backoffs are
     /// decorrelated across queries yet reproducible per run.

@@ -145,22 +145,10 @@ StatusOr<SqlEngine::Bound> SqlEngine::Bind(const std::string& sql) const {
   return bound;
 }
 
-StatusOr<SqlResult> SqlEngine::Run(const std::string& sql,
-                                   const ExecContext* ctx, TreeShape shape,
-                                   const MasterOptions* master,
-                                   bool force_analyze) {
-  // Fail fast on an already-cancelled or expired query: planning time
-  // counts against the deadline too. The token also rides ctx into the
-  // executors, which poll it at every batch boundary.
-  if (ctx != nullptr && ctx->cancel != nullptr)
-    XPRS_RETURN_IF_ERROR(ctx->cancel->Check());
+StatusOr<std::shared_ptr<const PreparedStatement>> SqlEngine::Prepare(
+    const std::string& sql, TreeShape shape) const {
   XPRS_ASSIGN_OR_RETURN(Bound bound, Bind(sql));
   const ParsedQuery& parsed = bound.parsed;
-
-  // Inline EXPLAIN [ANALYZE] prefixes: plain EXPLAIN degrades to plan-only;
-  // ANALYZE executes with profiling attached.
-  const bool analyze = force_analyze || parsed.analyze;
-  if (parsed.explain && !analyze) ctx = nullptr;
 
   // Validate the select list shape.
   size_t num_aggs = 0;
@@ -178,10 +166,17 @@ StatusOr<SqlResult> SqlEngine::Run(const std::string& sql,
   XPRS_ASSIGN_OR_RETURN(OptimizedQuery optimized,
                         optimizer.Optimize(bound.spec, shape));
 
+  auto stmt = std::make_shared<PreparedStatement>();
+  stmt->sql = sql;
+  stmt->seqcost = optimized.seqcost;
+  stmt->parcost = optimized.parcost;
+  stmt->explain = parsed.explain;
+  stmt->analyze = parsed.analyze;
   std::unique_ptr<PlanNode> plan = std::move(optimized.plan);
+  stmt->optimized = plan.get();
 
-  // Wrap an aggregate on top when requested.
   if (num_aggs == 1) {
+    // Wrap the aggregate on top; its output is the result.
     const SqlSelectItem& agg = parsed.select[0];
     XPRS_ASSIGN_OR_RETURN(auto agg_rc, ResolveColumn(bound, agg.column));
     XPRS_ASSIGN_OR_RETURN(
@@ -197,16 +192,64 @@ StatusOr<SqlResult> SqlEngine::Run(const std::string& sql,
       group_out = static_cast<int>(g_out);
     }
     plan = MakeAggregate(std::move(plan), agg.func, agg_out, group_out);
+    stmt->schema = plan->output_schema;
+    stmt->plan = std::move(plan);
+    return std::shared_ptr<const PreparedStatement>(std::move(stmt));
   }
 
-  SqlResult result;
-  result.seqcost = optimized.seqcost;
-  result.parcost = optimized.parcost;
-  result.plan_text = plan->ToString();
+  // Projection: * expands to every column with qualified names; explicit
+  // columns project through the optimizer's colmap.
+  std::vector<Column> out_schema;
+  auto qualified_name = [&](size_t output_index) {
+    auto [rel, col] = optimized.colmap[output_index];
+    return parsed.from[rel].alias + "." +
+           bound.spec.relations[rel].table->schema().column(col).name;
+  };
+  for (const auto& item : parsed.select) {
+    if (item.kind == SqlSelectItem::Kind::kStar) {
+      for (size_t i = 0; i < optimized.colmap.size(); ++i) {
+        stmt->columns.push_back(i);
+        auto [rel, col] = optimized.colmap[i];
+        out_schema.push_back(
+            {qualified_name(i),
+             bound.spec.relations[rel].table->schema().column(col).type});
+      }
+      continue;
+    }
+    XPRS_ASSIGN_OR_RETURN(auto rc, ResolveColumn(bound, item.column));
+    XPRS_ASSIGN_OR_RETURN(size_t idx,
+                          OutputIndex(optimized.colmap, rc.first, rc.second));
+    stmt->columns.push_back(idx);
+    out_schema.push_back(
+        {qualified_name(idx),
+         bound.spec.relations[rc.first].table->schema().column(rc.second)
+             .type});
+  }
+  stmt->schema = Schema(std::move(out_schema));
+  stmt->plan = std::move(plan);
+  return std::shared_ptr<const PreparedStatement>(std::move(stmt));
+}
 
-  // `plan` may be moved into the profile below; use the raw pointer after
-  // this point.
-  const PlanNode* planp = plan.get();
+StatusOr<SqlResult> SqlEngine::Run(const PreparedStatement& stmt,
+                                   const ExecContext* ctx,
+                                   const MasterOptions* master,
+                                   bool force_analyze) {
+  // Fail fast on an already-cancelled or expired query: planning time
+  // counts against the deadline too. The token also rides ctx into the
+  // executors, which poll it at every batch boundary.
+  if (ctx != nullptr && ctx->cancel != nullptr)
+    XPRS_RETURN_IF_ERROR(ctx->cancel->Check());
+
+  // Inline EXPLAIN [ANALYZE] prefixes: plain EXPLAIN degrades to plan-only;
+  // ANALYZE executes with profiling attached.
+  const bool analyze = force_analyze || stmt.analyze;
+  if (stmt.explain && !analyze) ctx = nullptr;
+
+  const PlanNode* planp = stmt.plan.get();
+  SqlResult result;
+  result.seqcost = stmt.seqcost;
+  result.parcost = stmt.parcost;
+  result.plan_text = planp->ToString();
 
   if (ctx == nullptr) {  // EXPLAIN
     result.schema = planp->output_schema;
@@ -225,7 +268,7 @@ StatusOr<SqlResult> SqlEngine::Run(const std::string& sql,
     AnnotateUtilization(machine_, *model_, *planp,
                         master != nullptr ? master->sched : SchedulerOptions(),
                         profile.get());
-    profile->AdoptPlan(std::move(plan));
+    profile->AdoptPlan(stmt.plan);
     profiled_ctx = *ctx;
     profiled_ctx.profile = profile.get();
     ctx = &profiled_ctx;
@@ -260,92 +303,87 @@ StatusOr<SqlResult> SqlEngine::Run(const std::string& sql,
     }
   }
 
-  if (num_aggs == 1) {
-    result.schema = planp->output_schema;
+  result.schema = stmt.schema;
+  if (stmt.columns.empty()) {
     result.rows = std::move(rows);
     return result;
   }
-
-  // Projection: * expands to every column with qualified names; explicit
-  // columns project through the optimizer's colmap.
-  std::vector<size_t> out_cols;
-  std::vector<Column> out_schema;
-  auto qualified_name = [&](size_t output_index) {
-    auto [rel, col] = optimized.colmap[output_index];
-    return parsed.from[rel].alias + "." +
-           bound.spec.relations[rel].table->schema().column(col).name;
-  };
-  for (const auto& item : parsed.select) {
-    if (item.kind == SqlSelectItem::Kind::kStar) {
-      for (size_t i = 0; i < optimized.colmap.size(); ++i) {
-        out_cols.push_back(i);
-        auto [rel, col] = optimized.colmap[i];
-        out_schema.push_back(
-            {qualified_name(i),
-             bound.spec.relations[rel].table->schema().column(col).type});
-      }
-      continue;
-    }
-    XPRS_ASSIGN_OR_RETURN(auto rc, ResolveColumn(bound, item.column));
-    XPRS_ASSIGN_OR_RETURN(size_t idx,
-                          OutputIndex(optimized.colmap, rc.first, rc.second));
-    out_cols.push_back(idx);
-    out_schema.push_back(
-        {qualified_name(idx),
-         bound.spec.relations[rc.first].table->schema().column(rc.second)
-             .type});
-  }
-
-  result.schema = Schema(std::move(out_schema));
   result.rows.reserve(rows.size());
   for (const Tuple& row : rows) {
     std::vector<Value> values;
-    values.reserve(out_cols.size());
-    for (size_t idx : out_cols) values.push_back(row.value(idx));
+    values.reserve(stmt.columns.size());
+    for (size_t idx : stmt.columns) values.push_back(row.value(idx));
     result.rows.push_back(Tuple(std::move(values)));
   }
   return result;
 }
 
+StatusOr<SqlResult> SqlEngine::PrepareAndRun(const std::string& sql,
+                                             const ExecContext& ctx,
+                                             TreeShape shape,
+                                             const MasterOptions* master,
+                                             bool force_analyze) {
+  XPRS_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedStatement> stmt,
+                        Prepare(sql, shape));
+  return Run(*stmt, &ctx, master, force_analyze);
+}
+
 StatusOr<SqlResult> SqlEngine::Execute(const std::string& sql,
                                        const ExecContext& ctx,
                                        TreeShape shape) {
-  return Run(sql, &ctx, shape);
+  return PrepareAndRun(sql, ctx, shape, nullptr, /*force_analyze=*/false);
 }
 
 StatusOr<SqlResult> SqlEngine::Explain(const std::string& sql,
                                        TreeShape shape) {
-  return Run(sql, nullptr, shape);
+  XPRS_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedStatement> stmt,
+                        Prepare(sql, shape));
+  return Run(*stmt, nullptr, nullptr, /*force_analyze=*/false);
 }
 
 StatusOr<SqlResult> SqlEngine::ExecuteParallel(const std::string& sql,
                                                const MasterOptions& options,
                                                TreeShape shape) {
-  return Run(sql, &options.ctx, shape, &options);
+  return PrepareAndRun(sql, options.ctx, shape, &options,
+                       /*force_analyze=*/false);
 }
 
 StatusOr<SqlResult> SqlEngine::ExplainAnalyze(const std::string& sql,
                                               const ExecContext& ctx,
                                               TreeShape shape) {
-  return Run(sql, &ctx, shape, nullptr, /*force_analyze=*/true);
+  return PrepareAndRun(sql, ctx, shape, nullptr, /*force_analyze=*/true);
 }
 
 StatusOr<SqlResult> SqlEngine::ExplainAnalyzeParallel(
     const std::string& sql, const MasterOptions& options, TreeShape shape) {
-  return Run(sql, &options.ctx, shape, &options, /*force_analyze=*/true);
+  return PrepareAndRun(sql, options.ctx, shape, &options,
+                       /*force_analyze=*/true);
+}
+
+StatusOr<SqlResult> SqlEngine::Execute(const PreparedStatement& stmt,
+                                       const ExecContext& ctx, bool analyze) {
+  return Run(stmt, &ctx, nullptr, analyze);
+}
+
+StatusOr<SqlResult> SqlEngine::ExecuteParallel(const PreparedStatement& stmt,
+                                               const MasterOptions& options,
+                                               bool analyze) {
+  return Run(stmt, &options.ctx, &options, analyze);
 }
 
 StatusOr<TaskProfile> SqlEngine::EstimateProfile(const std::string& sql,
                                                  TreeShape shape) {
-  XPRS_ASSIGN_OR_RETURN(Bound bound, Bind(sql));
-  TwoPhaseOptimizer optimizer(machine_, model_);
-  XPRS_ASSIGN_OR_RETURN(OptimizedQuery optimized,
-                        optimizer.Optimize(bound.spec, shape));
-  const PlanNode& plan = *optimized.plan;
+  XPRS_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedStatement> stmt,
+                        Prepare(sql, shape));
+  return EstimateProfile(*stmt);
+}
+
+TaskProfile SqlEngine::EstimateProfile(const PreparedStatement& stmt) const {
+  const PlanNode& plan = *stmt.optimized;
 
   PlanEstimate est = model_->Estimate(plan);
   TaskProfile profile;
-  profile.name = sql.substr(0, 40);
+  profile.name = stmt.sql.substr(0, 40);
   // Degenerate estimates (empty relations) still need a positive T so the
   // scheduler's io-rate classification stays defined.
   profile.seq_time = std::max(est.seq_time, 1e-6);

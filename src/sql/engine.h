@@ -38,15 +38,41 @@ struct SqlResult {
   std::string ToString() const;
 };
 
+/// A statement bound and optimized once. Immutable after Prepare, so the
+/// serving layer's admission estimate, every retry of the statement and
+/// the profiles of its runs all share one plan.
+struct PreparedStatement {
+  std::string sql;
+  /// The plan to run: the optimizer's plan, under the aggregate when the
+  /// statement selects one. Profiles keep it alive past the statement.
+  std::shared_ptr<const PlanNode> plan;
+  /// The optimizer's plan itself (a node of `plan`): what admission
+  /// estimates.
+  const PlanNode* optimized = nullptr;
+  double seqcost = 0.0;
+  double parcost = 0.0;
+  /// Result schema, and the plan output column behind each result column.
+  /// `columns` is empty for an aggregate, whose output is the result.
+  Schema schema;
+  std::vector<size_t> columns;
+  /// EXPLAIN / EXPLAIN ANALYZE prefixes.
+  bool explain = false;
+  bool analyze = false;
+};
+
 /// The engine.
 ///
-/// Thread-safety: the engine holds no per-statement state — Execute /
-/// Explain / ExecuteParallel build everything (binder output, optimizer,
-/// operator trees, parallel master) on the caller's stack — so concurrent
-/// statements from different threads are safe, provided the catalog
-/// follows its DDL-then-serve discipline (see storage/catalog.h): tables
-/// referenced by in-flight queries must not be loaded, re-indexed or
-/// re-analyzed concurrently. The catalog's name map takes its own lock, the
+/// Every string entry point prepares the statement and runs the prepared
+/// form; callers that run one statement more than once (the serving
+/// layer: admission, then each retry) prepare it themselves.
+///
+/// Thread-safety: the engine holds no per-statement state — Prepare and
+/// the runs build everything (binder output, optimizer, operator trees,
+/// parallel master) on the caller's stack or in the immutable
+/// PreparedStatement — so concurrent statements from different threads
+/// are safe, provided the catalog follows its DDL-then-serve discipline
+/// (see storage/catalog.h): tables referenced by in-flight queries must
+/// not be loaded, re-indexed or re-analyzed concurrently. The catalog's name map takes its own lock, the
 /// cost model is immutable, and the storage read paths (disk array, buffer
 /// pool, heap file, B+tree) are shared by parallel slaves already. The
 /// serving layer (src/serve) relies on this to run one engine under N
@@ -98,6 +124,22 @@ class SqlEngine {
   StatusOr<TaskProfile> EstimateProfile(const std::string& sql,
                                         TreeShape shape = TreeShape::kBushy);
 
+  /// Parses, binds and optimizes `sql` once: every planning error surfaces
+  /// here, none at run time.
+  StatusOr<std::shared_ptr<const PreparedStatement>> Prepare(
+      const std::string& sql, TreeShape shape = TreeShape::kBushy) const;
+
+  /// Execute / ExecuteParallel of a prepared statement; `analyze` forces
+  /// EXPLAIN ANALYZE as ExplainAnalyze[Parallel] does.
+  StatusOr<SqlResult> Execute(const PreparedStatement& stmt,
+                              const ExecContext& ctx, bool analyze = false);
+  StatusOr<SqlResult> ExecuteParallel(const PreparedStatement& stmt,
+                                      const MasterOptions& options,
+                                      bool analyze = false);
+
+  /// EstimateProfile of a prepared statement (plans nothing).
+  TaskProfile EstimateProfile(const PreparedStatement& stmt) const;
+
  private:
   struct Bound {
     QuerySpec spec;
@@ -114,10 +156,17 @@ class SqlEngine {
   static StatusOr<size_t> OutputIndex(
       const std::vector<std::pair<int, size_t>>& colmap, int rel, size_t col);
 
-  StatusOr<SqlResult> Run(const std::string& sql, const ExecContext* ctx,
-                          TreeShape shape,
-                          const MasterOptions* master = nullptr,
-                          bool force_analyze = false);
+  // Prepare + Run: the body of the string entry points that execute.
+  StatusOr<SqlResult> PrepareAndRun(const std::string& sql,
+                                    const ExecContext& ctx, TreeShape shape,
+                                    const MasterOptions* master,
+                                    bool force_analyze);
+
+  // Runs `stmt` serially under `ctx`, or through the master when `master`
+  // is set (`ctx` is then master->ctx); a null `ctx` only explains.
+  StatusOr<SqlResult> Run(const PreparedStatement& stmt,
+                          const ExecContext* ctx, const MasterOptions* master,
+                          bool force_analyze);
 
   Catalog* const catalog_;
   MachineConfig machine_;

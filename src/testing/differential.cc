@@ -181,16 +181,22 @@ StatusOr<std::vector<Tuple>> DifferentialOracle::RunMaster(
   MasterOptions master_options;
   master_options.sched.policy = SchedPolicy::kInterWithAdj;
   master_options.max_slots = options_.max_slots;
-  if (chaos) {
-    master_options.retry = options_.chaos_retry;
-    master_options.obs = options_.chaos_obs;
-  }
+  if (chaos) master_options.obs = options_.chaos_obs;
   ParallelMaster master(machine, &model_, master_options);
   auto result = master.Run({QueryJob{&plan, /*query_id=*/1}});
   if (!result.ok()) return result.status();
   XPRS_RETURN_IF_ERROR(
       ValidateSchedDecisions(result->decisions, &result->task_finish_times));
   return std::move(result->query_results.at(1));
+}
+
+StatementRetry DifferentialOracle::ChaosRetry(
+    const CancellationToken* cancel) const {
+  StatementRetry retry;
+  retry.policy = options_.chaos_retry;
+  retry.cancel = cancel;
+  retry.obs = options_.chaos_obs;
+  return retry;
 }
 
 Status DifferentialOracle::CheckPlan(const PlanNode& plan) {
@@ -518,23 +524,21 @@ Status DifferentialOracle::CheckPlanChaos(const PlanNode& plan) {
   ++report_.executions_compared;
   report_.reference_rows += ref.size();
 
-  // Modes behind the resilience ladder: expected to absorb most faults
-  // (retry / degrade), recorded on chaos_obs.
+  // Modes behind the statement retry the serving engine runs: expected
+  // to absorb most faults, recorded on chaos_obs.
+  const StatementRetry retry = ChaosRetry(nullptr);
   XPRS_RETURN_IF_ERROR(ChaosCase(plan, reference, "resilient-serial", [&] {
-    ResilientExecOptions res;
-    res.retry = options_.chaos_retry;
-    res.degrade_spill_array = &temp_array_;
-    res.degrade_spill_tuples = options_.spill_memory_tuples;
-    res.obs = options_.chaos_obs;
-    return ExecutePlanResilient(plan, plain, res);
+    return RetryStatement(retry,
+                          [&] { return ExecutePlanSequential(plan, plain); });
   }));
   if (options_.run_master) {
     XPRS_RETURN_IF_ERROR(ChaosCase(plan, reference, "master", [&] {
-      return RunMaster(plan, /*chaos=*/true);
+      return RetryStatement(
+          retry, [&] { return RunMaster(plan, /*chaos=*/true); });
     }));
   }
 
-  // Bare modes: no ladder, so injected faults usually surface — which is
+  // Bare modes: no retry, so injected faults usually surface — which is
   // fine as long as the status is retryable and the result never diverges.
   if (options_.run_fragmented) {
     XPRS_RETURN_IF_ERROR(ChaosCase(plan, reference, "fragmented", [&] {
@@ -680,20 +684,18 @@ Status DifferentialOracle::ReplayConcurrent(
         static_cast<int64_t>(i) % options_.concurrent_sessions;
     request.label = request.estimate.name;
     if (chaos) {
-      // Behind the resilience ladder: injected faults are retried, and
-      // persistent pool pressure degrades to the spill path.
+      // Behind the serving engine's two retry owners: the page-fetch
+      // backoff and the statement retry.
       request.job = [this, plan,
                      &pool](const ExecGrant& grant) -> StatusOr<SqlResult> {
         ExecContext ctx;
         ctx.pool = &pool;
         ctx.cancel = grant.cancel;
-        ResilientExecOptions res;
-        res.retry = options_.chaos_retry;
-        res.degrade_spill_array = &temp_array_;
-        res.degrade_spill_tuples = options_.spill_memory_tuples;
-        res.obs = options_.chaos_obs;
-        XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
-                              ExecutePlanResilient(*plan, ctx, res));
+        ctx.fetch_retry = &options_.chaos_retry;
+        XPRS_ASSIGN_OR_RETURN(
+            std::vector<Tuple> rows,
+            RetryStatement(ChaosRetry(grant.cancel),
+                           [&] { return ExecutePlanSequential(*plan, ctx); }));
         SqlResult result;
         result.rows = std::move(rows);
         return result;

@@ -54,6 +54,7 @@
 #include "exec/executor.h"
 #include "exec/fragment.h"
 #include "opt/cost_model.h"
+#include "resilience/retry.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
 #include "storage/disk_array.h"
@@ -95,12 +96,14 @@ struct DifferentialOptions {
   /// disk read independently fails with this probability (seeded from the
   /// oracle's rng). Bare modes may fail — any failure must carry a
   /// *retryable* status (IoError / ResourceExhausted), never a crash or a
-  /// wrong answer — while the modes behind the resilience ladder
-  /// (resilient serial, master) usually absorb the faults and must then
-  /// match the reference exactly. 0 disables CheckPlanChaos.
+  /// wrong answer — while the modes behind the statement retry
+  /// (resilient serial, master, concurrent chaos) usually absorb the
+  /// faults and must then match the reference exactly. 0 disables
+  /// CheckPlanChaos.
   double chaos_read_fault_rate = 0.0;
-  /// Retry budget per rung for the chaos resilient-serial / master runs.
-  /// Backoff defaults to zero so fixed-seed chaos suites stay fast.
+  /// Statement retry policy (RetryStatement) of the chaos modes behind it,
+  /// and the page-fetch backoff of the concurrent chaos replay. Backoff
+  /// defaults to zero so fixed-seed chaos suites stay fast.
   RetryPolicy chaos_retry = [] {
     RetryPolicy p;
     p.max_attempts = 4;
@@ -160,10 +163,10 @@ class DifferentialOracle {
   /// Chaos mode: re-runs `plan` through the configured modes with a
   /// seeded rate-`options.chaos_read_fault_rate` read-fault injector armed
   /// the whole time. Every mode must either reproduce the reference result
-  /// exactly or fail with a retryable status; the resilience-ladder modes
-  /// record their recoveries on `options.chaos_obs` (resilience.retry.* /
-  /// resilience.degrade.* counters and trace events). No-op when the rate
-  /// is <= 0.
+  /// exactly or fail with a retryable status; the modes behind the
+  /// statement retry record their retries on `options.chaos_obs`
+  /// (resilience.serve.query_retry counter and trace events). No-op when
+  /// the rate is <= 0.
   Status CheckPlanChaos(const PlanNode& plan);
 
   /// Random-rate read faults: while armed, every disk read independently
@@ -183,9 +186,9 @@ class DifferentialOracle {
 
   /// Chaos variant of the concurrent mode: the whole replay runs with a
   /// seeded rate-`chaos_read_fault_rate` read-fault injector armed on the
-  /// array while every query executes behind the resilience ladder
-  /// (retry + spill degrade). Each query must either match its reference
-  /// or fail with a retryable status. No-op when the rate is <= 0.
+  /// array while every query executes behind the statement retry and the
+  /// page-fetch backoff. Each query must either match its reference or
+  /// fail with a retryable status. No-op when the rate is <= 0.
   Status CheckPlansConcurrentChaos(const std::vector<const PlanNode*>& plans);
 
   /// §2.2 io conservation: a page-partitioned scan of `table` at every
@@ -203,11 +206,12 @@ class DifferentialOracle {
   StatusOr<std::vector<Tuple>> RunParallelFragments(const PlanNode& plan,
                                                     int degree,
                                                     bool vectorized = false);
-  // `chaos` arms the resilience ladder (options_.chaos_retry + chaos_obs)
-  // on the master so injected faults are retried / degraded instead of
-  // failing the run outright.
+  // `chaos` publishes the master's events on options_.chaos_obs.
   StatusOr<std::vector<Tuple>> RunMaster(const PlanNode& plan,
                                          bool chaos = false);
+  // The chaos modes' statement retry: options_.chaos_retry, reported on
+  // options_.chaos_obs, stopped by `cancel` (nullable).
+  StatementRetry ChaosRetry(const CancellationToken* cancel) const;
   // One armed-hook case: runs `plan` under `ctx`, asserting a fired fault
   // surfaces as Status and a clean retry matches `reference`.
   Status FaultCase(const PlanNode& plan, const Canon& reference,

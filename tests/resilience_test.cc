@@ -1,19 +1,18 @@
 // Resilience subsystem tests: cancellation tokens and deadlines (checked
 // from the serial executor, the parallel master and the SQL front door,
-// always with zero pinned frames left behind), the fragment retry /
-// degrade ladder, and buffer-pool backpressure with inline retry and the
-// degrade-to-spill path.
+// always with zero pinned frames left behind), the whole-statement retry
+// (RetryStatement), and buffer-pool backpressure with inline retry.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "exec/executor.h"
 #include "exec/fragment.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "opt/cost_model.h"
 #include "parallel/master.h"
 #include "resilience/cancellation.h"
@@ -147,80 +146,6 @@ TEST_F(ResilienceTest, CancelMidScanReleasesPinnedPage) {
   EXPECT_EQ(pool.PinnedFrames(), 0u);
 }
 
-// A transient fault is absorbed by the fragment retry rung, and the
-// recovery is visible as a metric and a trace event.
-TEST_F(ResilienceTest, FragmentRetryRecoversTransientFault) {
-  MetricsRegistry metrics;
-  MemoryTraceRecorder trace;
-  CostModel model;
-  MasterOptions options;
-  options.retry.initial_backoff_ms = 0;
-  options.obs.metrics = &metrics;
-  options.obs.trace = &trace;
-  auto plan = MakeSeqScan(t_, Predicate());
-  ParallelMaster master(MachineConfig::PaperConfig(), &model, options);
-  array_->FailNextReads(1);
-  auto result = master.Run({{plan.get(), 1}});
-  array_->FailNextReads(0);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->query_results.at(1).size(), 800u);
-  EXPECT_GE(result->fragment_retries, 1u);
-  EXPECT_GE(metrics.counter("resilience.retry.fragment")->value(), 1u);
-  bool saw_event = false;
-  for (const TraceEvent& event : trace.snapshot()) {
-    if (event.category == "resilience") saw_event = true;
-  }
-  EXPECT_TRUE(saw_event);
-}
-
-// Fails every read issued off the master thread; the serial fallback
-// (which runs on the master thread) is the only rung that can succeed.
-class SlaveOnlyFaultInjector : public FaultInjector {
- public:
-  explicit SlaveOnlyFaultInjector(std::thread::id master) : master_(master) {}
-  Status BeforeRead(BlockId) override {
-    if (std::this_thread::get_id() == master_) return Status::OK();
-    return Status::IoError("injected slave-side read fault");
-  }
-  Status BeforeWrite(BlockId, size_t*) override { return Status::OK(); }
-  Status BeforeFetch(BlockId) override { return Status::OK(); }
-
- private:
-  const std::thread::id master_;
-};
-
-// A fault that persists across every parallel attempt walks the whole
-// ladder — retry, halve, halve, ... — and lands on the serial executor.
-TEST_F(ResilienceTest, DegradeToSerialFallback) {
-  MetricsRegistry metrics;
-  SlaveOnlyFaultInjector injector(std::this_thread::get_id());
-  array_->SetFaultInjector(&injector);
-  CostModel model;
-  MasterOptions options;
-  options.retry.max_attempts = 2;
-  options.retry.initial_backoff_ms = 0;
-  options.obs.metrics = &metrics;
-  auto plan = MakeSeqScan(t_, Predicate());
-  ParallelMaster master(MachineConfig::PaperConfig(), &model, options);
-  auto result = master.Run({{plan.get(), 1}});
-  array_->SetFaultInjector(nullptr);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->query_results.at(1).size(), 800u);
-  EXPECT_EQ(result->serial_fallbacks, 1u);
-  EXPECT_GE(result->fragment_retries, 1u);
-  EXPECT_GE(metrics.counter("resilience.degrade.serial")->value(), 1u);
-
-  // With the fallback disabled the same fault surfaces instead.
-  MasterOptions strict = options;
-  strict.serial_fallback = false;
-  array_->SetFaultInjector(&injector);
-  ParallelMaster master2(MachineConfig::PaperConfig(), &model, strict);
-  auto failed = master2.Run({{plan.get(), 1}});
-  array_->SetFaultInjector(nullptr);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
-}
-
 // Admission control: once pinned frames reach the soft limit, misses are
 // refused with ResourceExhausted while hits on resident pages still serve
 // (refusing re-pins would livelock the holder).
@@ -269,36 +194,71 @@ TEST_F(ResilienceTest, BackpressureRetryRecoversWhenPinsDrain) {
   EXPECT_GE(metrics.counter("resilience.backpressure.retry")->value(), 1u);
 }
 
-// Persistent pool exhaustion walks ExecutePlanResilient's ladder: retry
-// the whole plan, then degrade — bypass the pool and run the §5 spill
-// path — instead of failing the query.
-TEST_F(ResilienceTest, ResilientExecutorDegradesToSpill) {
+// A transient failure is retried, emitting one serve.query_retry event per
+// retry; a persistent one stops after max_attempts executions.
+TEST_F(ResilienceTest, RetryStatementRetriesUpToMaxAttempts) {
   MetricsRegistry metrics;
-  BufferPool pool(array_.get(), 8);
-  pool.SetSoftPinLimit(1);
-  BlockId b0 = t_->file().BlockOf(0).value();
-  auto held = pool.Fetch(b0);  // pinned for the whole test
-  ASSERT_TRUE(held.ok());
-
-  DiskArray temp(4, DiskMode::kInstant);
+  StatementRetry retry;
+  retry.policy.max_attempts = 3;
+  retry.policy.initial_backoff_ms = 0;
+  retry.obs.metrics = &metrics;
+  auto plan = MakeSeqScan(t_, Predicate());
   ExecContext ctx;
-  ctx.pool = &pool;
-  ResilientExecOptions options;
-  options.retry.max_attempts = 2;
-  options.retry.initial_backoff_ms = 0;
-  options.degrade_spill_array = &temp;
-  options.degrade_spill_tuples = 64;
-  options.obs.metrics = &metrics;
 
-  auto plan = MakeSort(MakeSeqScan(t_, Predicate()), 0);
-  auto rows = ExecutePlanResilient(*plan, ctx, options);
+  int attempts = 0;
+  array_->FailNextReads(1);
+  auto rows = RetryStatement(
+      retry, [&] { return ExecutePlanSequential(*plan, ctx); }, &attempts);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->size(), 800u);
-  EXPECT_EQ(metrics.counter("resilience.degrade.spill")->value(), 1u);
-  EXPECT_GE(metrics.counter("resilience.retry.query")->value(), 1u);
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(metrics.counter("resilience.serve.query_retry")->value(), 1u);
+
+  array_->FailNextReads(1000000);
+  auto failed = RetryStatement(
+      retry, [&] { return ExecutePlanSequential(*plan, ctx); }, &attempts);
+  array_->FailNextReads(0);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(attempts, 3);
+  EXPECT_EQ(metrics.counter("resilience.serve.query_retry")->value(), 3u);
 }
 
-// Cancellation is terminal: the resilient executor must not burn retry
+// A gate that refuses ends the statement with its status, without running
+// it and without a retry; the outcomes it let through are recorded.
+class ScriptedGate : public AttemptGate {
+ public:
+  explicit ScriptedGate(int allowed) : allowed_(allowed) {}
+  Status Allow() override {
+    if (allowed_-- > 0) return Status::OK();
+    return Status::ResourceExhausted("gate closed");
+  }
+  void Record(const Status& outcome) override {
+    recorded.push_back(outcome.code());
+  }
+  std::vector<StatusCode> recorded;
+
+ private:
+  int allowed_;
+};
+
+TEST_F(ResilienceTest, RetryStatementStopsAtAClosedGate) {
+  ScriptedGate gate(/*allowed=*/1);
+  StatementRetry retry;
+  retry.policy.max_attempts = 5;
+  retry.policy.initial_backoff_ms = 0;
+  retry.gate = &gate;
+  int attempts = 0;
+  StatusOr<int> result = RetryStatement(
+      retry, [] { return StatusOr<int>(Status::IoError("disk")); },
+      &attempts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message(), "gate closed");
+  EXPECT_EQ(attempts, 1);
+  EXPECT_EQ(gate.recorded, std::vector<StatusCode>{StatusCode::kIoError});
+}
+
+// Cancellation is terminal: the statement retry must not burn retry
 // budget (or sleep) on a query the user already gave up on.
 TEST_F(ResilienceTest, CancellationIsNeverRetried) {
   MetricsRegistry metrics;
@@ -306,12 +266,17 @@ TEST_F(ResilienceTest, CancellationIsNeverRetried) {
   token.Cancel("user abort");
   ExecContext ctx;
   ctx.cancel = &token;
-  ResilientExecOptions options;
-  options.obs.metrics = &metrics;
-  auto rows = ExecutePlanResilient(*JoinPlan(), ctx, options);
+  StatementRetry retry;
+  retry.cancel = &token;
+  retry.obs.metrics = &metrics;
+  auto plan = JoinPlan();
+  int attempts = 0;
+  auto rows = RetryStatement(
+      retry, [&] { return ExecutePlanSequential(*plan, ctx); }, &attempts);
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(metrics.counter("resilience.retry.query")->value(), 0u);
+  EXPECT_EQ(attempts, 1);
+  EXPECT_EQ(metrics.counter("resilience.serve.query_retry")->value(), 0u);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -597,6 +599,170 @@ TEST_F(ServingEngineTest, ShutdownUnderLoadWithFaultsLeavesNoResidue) {
   }
   EXPECT_EQ(engine->num_open_sessions(), 0u);
   array_->SetFaultInjector(nullptr);
+}
+
+// Fails every disk read except those of the first thread that reads. An
+// engine with one scheduler worker runs a serial warm-up query on that
+// worker first, so afterwards every read of a parallel grant's slaves
+// fails, while a serial pass on the worker (the master thread) succeeds.
+class SlaveOnlyReadFaults : public FaultInjector {
+ public:
+  Status BeforeRead(BlockId) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!worker_.has_value()) worker_ = std::this_thread::get_id();
+    if (std::this_thread::get_id() == *worker_) return Status::OK();
+    return Status::IoError("injected slave-side read fault");
+  }
+  Status BeforeWrite(BlockId, size_t*) override { return Status::OK(); }
+  Status BeforeFetch(BlockId) override { return Status::OK(); }
+
+ private:
+  std::mutex mutex_;
+  std::optional<std::thread::id> worker_;
+};
+
+// A statement's only retry is the statement retry: a 4-slot grant whose
+// fragment fails on every attempt runs exactly query_retry.max_attempts
+// times — no fragment retries, no halving, no serial fallback — and the
+// poison log counts those executions.
+TEST_F(ServingEngineTest, PersistentFragmentFaultFailsAfterQueryRetryAttempts) {
+  MetricsRegistry metrics;
+  ServingEngine::Options options;
+  options.serve.max_concurrent = 1;   // one worker: the master thread
+  options.serve.machine.num_cpus = 4;  // alone: a 4-slot grant
+  options.serve.obs.metrics = &metrics;
+  options.query_retry.initial_backoff_ms = 0;
+  const int max_attempts = options.query_retry.max_attempts;
+  auto engine = MakeEngine(std::move(options));
+  auto session = engine->OpenSession();
+
+  SlaveOnlyReadFaults injector;
+  array_->SetFaultInjector(&injector);
+  QueryOptions serial;
+  serial.allow_parallel = false;
+  ASSERT_TRUE(session->Execute("SELECT * FROM custs", serial).ok());
+  const std::string sql = "SELECT * FROM orders WHERE a >= 10";
+  auto result = session->Execute(sql);
+  array_->SetFaultInjector(nullptr);
+  engine->CloseSession(session);
+  ASSERT_TRUE(engine->Drain().ok());
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  const uint64_t executions =
+      metrics.counter("parallel.fragments_started")->value();
+  EXPECT_EQ(executions, static_cast<uint64_t>(max_attempts));
+  EXPECT_EQ(metrics.counter("resilience.serve.query_retry")->value(),
+            static_cast<uint64_t>(max_attempts - 1));
+  EXPECT_EQ(metrics.counter("resilience.retry.fragment")->value(), 0u);
+  EXPECT_EQ(metrics.counter("resilience.degrade.parallelism")->value(), 0u);
+  EXPECT_EQ(metrics.counter("resilience.degrade.serial")->value(), 0u);
+  ASSERT_EQ(engine->poison_log().size(), 1u);
+  const PoisonEntry entry = engine->poison_log().entries()[0];
+  EXPECT_EQ(entry.query, sql);
+  EXPECT_EQ(entry.attempts, static_cast<int>(executions));
+}
+
+// A transient fault costs one statement retry under every grant, and the
+// retried statement returns the serial oracle's rows.
+TEST_F(ServingEngineTest, TransientFaultIsOneStatementRetryUnderEveryGrant) {
+  const std::string sql =
+      "SELECT o.a, c.b FROM orders o, custs c WHERE o.a = c.a AND c.a < 25";
+  auto expected = oracle_->Execute(sql);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  for (int cpus : {1, 4}) {
+    SCOPED_TRACE(cpus);
+    MetricsRegistry metrics;
+    ServingEngine::Options options;
+    options.serve.max_concurrent = 1;
+    options.serve.machine.num_cpus = cpus;  // serial or 4-slot grant
+    options.serve.obs.metrics = &metrics;
+    options.buffer_pool_frames = 64;
+    options.query_retry.initial_backoff_ms = 0;
+    auto engine = MakeEngine(std::move(options));
+    auto session = engine->OpenSession();
+    array_->FailNextReads(1);
+    auto result = session->Execute(sql);
+    array_->FailNextReads(0);
+    engine->CloseSession(session);
+    ASSERT_TRUE(engine->Drain().ok());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(Canon(result->rows), Canon(expected->rows));
+    EXPECT_EQ(metrics.counter("resilience.serve.query_retry")->value(), 1u);
+    EXPECT_EQ(metrics.counter("parallel.fragments_started")->value() > 0,
+              cpus > 1);
+  }
+}
+
+// The inline EXPLAIN ANALYZE prefix survives serving, with and without
+// the slow-query log (which profiles every statement).
+TEST_F(ServingEngineTest, ServedExplainAnalyzeReturnsAnalyzeText) {
+  auto expected = oracle_->Execute("SELECT count(a) FROM orders");
+  ASSERT_TRUE(expected.ok());
+  for (double slow_seconds : {0.0, 1e-9}) {
+    SCOPED_TRACE(slow_seconds);
+    ServingEngine::Options options;
+    options.slow_query_seconds = slow_seconds;
+    auto engine = MakeEngine(std::move(options));
+    auto session = engine->OpenSession();
+    auto result =
+        session->Execute("EXPLAIN ANALYZE SELECT count(a) FROM orders");
+    engine->CloseSession(session);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_NE(result->analyze_text.find("Aggregate"), std::string::npos)
+        << result->analyze_text;
+    EXPECT_NE(result->profile, nullptr);
+    EXPECT_EQ(Canon(result->rows), Canon(expected->rows));
+  }
+}
+
+// A served statement is planned once, at submission: the plan admission
+// estimated is the plan every attempt runs, even when the statistics
+// change while it waits and a fault makes it retry.
+TEST_F(ServingEngineTest, ServedStatementRunsThePlanItWasAdmittedWith) {
+  const std::string sql =
+      "SELECT o.a, c.b FROM orders o, custs c WHERE o.a = c.a";
+  auto admitted_plan = oracle_->Explain(sql);
+  ASSERT_TRUE(admitted_plan.ok());
+
+  MetricsRegistry metrics;
+  ServingEngine::Options options;
+  options.serve.max_concurrent = 1;
+  options.serve.start_paused = true;
+  options.serve.obs.metrics = &metrics;
+  options.query_retry.initial_backoff_ms = 0;
+  auto engine = MakeEngine(std::move(options));
+  auto session = engine->OpenSession();
+  auto submitted = session->Submit(sql);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+
+  // While the statement is queued, custs outgrows orders: planned now,
+  // the join would build on the other side.
+  Table* custs = catalog_->GetTable("custs").value();
+  for (int i = 100; i < 3000; ++i) {
+    ASSERT_TRUE(custs->file()
+                    .Append(Tuple({Value(int32_t{i}),
+                                   Value(std::string("c") +
+                                         std::to_string(i))}))
+                    .ok());
+  }
+  ASSERT_TRUE(custs->file().Flush().ok());
+  ASSERT_TRUE(custs->ComputeStats().ok());
+  auto replanned = oracle_->Explain(sql);
+  ASSERT_TRUE(replanned.ok());
+  ASSERT_NE(replanned->plan_text, admitted_plan->plan_text);
+  auto expected = oracle_->Execute(sql);
+  ASSERT_TRUE(expected.ok());
+
+  array_->FailNextReads(1);
+  engine->Resume();
+  auto result = submitted->ticket.Wait();
+  array_->FailNextReads(0);
+  engine->CloseSession(session);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(metrics.counter("resilience.serve.query_retry")->value(), 1u);
+  EXPECT_EQ(result->plan_text, admitted_plan->plan_text);
+  EXPECT_EQ(Canon(result->rows), Canon(expected->rows));
 }
 
 // ------------------------------------------------- differential concurrent

@@ -468,13 +468,14 @@ int Run(int argc, char** argv) {
         "\"fast_fails\":%llu},\"spill_io\":{\"opened\":%llu,"
         "\"fast_fails\":%llu}},"
         "\"poison\":{\"quarantined\":%s,\"fast_reject\":%s,"
-        "\"entries\":%zu},\"phases\":[",
+        "\"entries\":%zu,\"quarantined_texts\":%zu},\"phases\":[",
         static_cast<unsigned long long>(engine.read_breaker().times_opened()),
         static_cast<unsigned long long>(engine.read_breaker().fast_fails()),
         static_cast<unsigned long long>(engine.spill_breaker().times_opened()),
         static_cast<unsigned long long>(engine.spill_breaker().fast_fails()),
         poison_quarantined ? "true" : "false",
-        poison_fast_reject ? "true" : "false", engine.poison_log().size());
+        poison_fast_reject ? "true" : "false", engine.poison_log().size(),
+        engine.poison_log().quarantined_count());
     for (int p = 0; p < kNumPhases; ++p) {
       std::lock_guard<std::mutex> lock(phases[p].mutex);
       std::fprintf(

@@ -271,9 +271,12 @@ echo "==> [8/10] tsan config (concurrency subset)"
 # its worker, buffer-pool admission counters, the serving layer's
 # scheduler/session machinery and circuit breakers, and the hash-join tables
 # the slaves of a parallel fragment run build once and probe together
-# (batch_test covers the batch operators those slaves share), the buffer
-# pool's read-ahead IO threads and disk reads racing allocation
-# (storage_test), and the synchronized-scan registry (exec_test).
+# (batch_test covers the batch operators those slaves share), the one
+# shared page dispenser (ScanCursor) the slaves of a sequential-scan run
+# take their pages from, re-weighted by mid-run adjustments
+# (parallel_test), the buffer pool's read-ahead IO threads and disk reads
+# racing allocation (storage_test), and the synchronized-scan registry
+# with several takers of one cursor (exec_test).
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \

@@ -42,12 +42,14 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
   *eof = false;
   out->Reset(&table_->schema());
   const uint32_t target = BatchTarget(ctx_);
-  while (out->size() < target && !cursor_.done()) {
+  while (out->size() < target) {
+    std::optional<uint32_t> taken = cursor_.Take();
+    if (!taken.has_value()) break;
     // The pin (when pooled) lives exactly as long as this page's decode,
-    // and ends before Advance may mark the page done.
+    // and ends before Pass may mark the page done.
     PageHandle handle;
     const Page* page;
-    XPRS_RETURN_IF_ERROR(cursor_.Load(&handle, &direct_page_, &page));
+    XPRS_RETURN_IF_ERROR(cursor_.Load(*taken, &handle, &direct_page_, &page));
     ++pages_read_;
     ProfPagesRead(1);
     const uint16_t n = page->num_tuples();
@@ -59,7 +61,7 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
           data, size, decode_mask_.empty() ? nullptr : &decode_mask_));
     }
     handle.Release();
-    cursor_.Advance();
+    cursor_.Pass(*taken);
   }
   if (out->size() == 0) {
     *eof = true;

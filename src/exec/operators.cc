@@ -59,12 +59,14 @@ Status SeqScanOp::Next(Tuple* out, bool* eof) {
   *eof = false;
   for (;;) {
     if (!page_loaded_) {
-      if (cursor_.done()) {
+      std::optional<uint32_t> page = cursor_.Take();
+      if (!page.has_value()) {
         *eof = true;
         return Status::OK();
       }
+      page_ = *page;
       XPRS_RETURN_IF_ERROR(
-          cursor_.Load(&pooled_page_, &direct_page_, &current_));
+          cursor_.Load(page_, &pooled_page_, &direct_page_, &current_));
       ++pages_read_;
       ProfPagesRead(1);
       page_loaded_ = true;
@@ -82,10 +84,10 @@ Status SeqScanOp::Next(Tuple* out, bool* eof) {
         return Status::OK();
       }
     }
-    // Page exhausted: step to this scan's next page.
+    // Page exhausted: hand it back before taking this scan's next page.
     page_loaded_ = false;
     pooled_page_.Release();
-    cursor_.Advance();
+    cursor_.Pass(page_);
   }
 }
 

@@ -151,6 +151,7 @@ class SeqScanOp : public Operator {
   const int partition_index_;
 
   ScanCursor cursor_;
+  uint32_t page_ = 0;  // the page being scanned
   uint16_t next_slot_ = 0;
   bool page_loaded_ = false;
   Page direct_page_;          // used when no buffer pool

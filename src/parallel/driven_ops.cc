@@ -1,6 +1,5 @@
 #include "parallel/driven_ops.h"
 
-#include "exec/scan_cursor.h"
 #include "util/check.h"
 
 namespace xprs {
@@ -8,15 +7,10 @@ namespace xprs {
 // --------------------------------------------------------- DrivenSeqScan
 
 DrivenSeqScanOp::DrivenSeqScanOp(Table* table, Predicate predicate,
-                                 ExecContext ctx, AdjustablePageScan* shared,
-                                 int slot)
-    : table_(table),
-      predicate_(std::move(predicate)),
-      ctx_(ctx),
-      shared_(shared),
-      slot_(slot) {
+                                 SlaveGranules granules)
+    : table_(table), predicate_(std::move(predicate)), granules_(granules) {
   XPRS_CHECK(table != nullptr);
-  XPRS_CHECK(shared != nullptr);
+  XPRS_CHECK(granules.cursor != nullptr);
 }
 
 Status DrivenSeqScanOp::Open() {
@@ -24,7 +18,15 @@ Status DrivenSeqScanOp::Open() {
   next_slot_ = 0;
   current_ = nullptr;
   pooled_page_.Release();
-  recycle_ = ctx_.pool != nullptr && RecyclesPages(table_->file(), *ctx_.pool);
+  return Status::OK();
+}
+
+Status DrivenSeqScanOp::Close() {
+  if (page_loaded_) {
+    page_loaded_ = false;
+    pooled_page_.Release();
+    granules_.cursor->Pass(page_);
+  }
   return Status::OK();
 }
 
@@ -32,29 +34,14 @@ Status DrivenSeqScanOp::Next(Tuple* out, bool* eof) {
   *eof = false;
   for (;;) {
     if (!page_loaded_) {
-      if (ctx_.cancel != nullptr) {
-        Status live = ctx_.cancel->Check();
-        if (!live.ok()) {
-          pooled_page_.Release();
-          return live;
-        }
-      }
-      std::optional<uint32_t> page = shared_->NextPage(slot_);
+      std::optional<uint32_t> page = granules_.Next();
       if (!page.has_value()) {
         *eof = true;
         return Status::OK();
       }
       page_ = *page;
-      if (ctx_.pool != nullptr) {
-        XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(page_));
-        auto handle = FetchWithBackpressure(ctx_, block);
-        if (!handle.ok()) return handle.status();
-        pooled_page_ = std::move(handle).value();
-        current_ = &pooled_page_.page();
-      } else {
-        XPRS_RETURN_IF_ERROR(table_->file().ReadPage(page_, &direct_page_));
-        current_ = &direct_page_;
-      }
+      XPRS_RETURN_IF_ERROR(granules_.cursor->Load(page_, &pooled_page_,
+                                                  &direct_page_, &current_));
       ProfPagesRead(1);
       page_loaded_ = true;
       next_slot_ = 0;
@@ -73,9 +60,7 @@ Status DrivenSeqScanOp::Next(Tuple* out, bool* eof) {
     }
     page_loaded_ = false;
     pooled_page_.Release();
-    // Each page goes to exactly one slave (§2.4), so only the serial scans
-    // in the file's registry can still need it.
-    if (recycle_) MarkPagePassed(table_->file(), ctx_.pool, 0, page_);
+    granules_.cursor->Pass(page_);
   }
 }
 
@@ -144,10 +129,10 @@ uint32_t DrivenTempSourceOp::NumBatches(size_t num_tuples) {
 }
 
 DrivenTempSourceOp::DrivenTempSourceOp(const TempResult* temp,
-                                       AdjustablePageScan* shared, int slot)
-    : temp_(temp), shared_(shared), slot_(slot) {
+                                       SlaveGranules granules)
+    : temp_(temp), granules_(granules) {
   XPRS_CHECK(temp != nullptr);
-  XPRS_CHECK(shared != nullptr);
+  XPRS_CHECK(granules.cursor != nullptr);
 }
 
 Status DrivenTempSourceOp::Open() {
@@ -159,7 +144,7 @@ Status DrivenTempSourceOp::Next(Tuple* out, bool* eof) {
   *eof = false;
   for (;;) {
     if (!have_batch_) {
-      std::optional<uint32_t> batch = shared_->NextPage(slot_);
+      std::optional<uint32_t> batch = granules_.Next();
       if (!batch.has_value()) {
         *eof = true;
         return Status::OK();

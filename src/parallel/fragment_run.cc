@@ -25,16 +25,12 @@ ParallelFragmentRun::ParallelFragmentRun(
   auto blocked = frag.blocked_inputs.find(driving_leaf_);
 
   if (blocked != frag.blocked_inputs.end()) {
-    // Driving source is a materialized input: page-partition its batches.
+    // Driving source is a materialized input: hand out its batches.
     driving_is_temp_ = true;
     const TempResult* temp = inputs_.at(blocked->second);
     total_granules_ = DrivenTempSourceOp::NumBatches(temp->tuples.size());
-    page_scan_ = std::make_unique<AdjustablePageScan>(
-        total_granules_, options.initial_parallelism, options.max_slots);
   } else if (driving_leaf_->kind == PlanKind::kSeqScan) {
     total_granules_ = driving_leaf_->table->file().num_pages();
-    page_scan_ = std::make_unique<AdjustablePageScan>(
-        total_granules_, options.initial_parallelism, options.max_slots);
   } else {
     XPRS_CHECK(driving_leaf_->kind == PlanKind::kIndexScan);
     const BTreeIndex* index = driving_leaf_->table->index();
@@ -44,7 +40,8 @@ ParallelFragmentRun::ParallelFragmentRun(
         index, driving_leaf_->index_range, options.initial_parallelism,
         options.max_slots);
   }
-  current_parallelism_ = options.initial_parallelism;
+  degree_.store(options.initial_parallelism);
+  slot_running_.assign(options.max_slots, false);
 }
 
 ParallelFragmentRun::~ParallelFragmentRun() {
@@ -56,22 +53,22 @@ StatusOr<std::unique_ptr<Operator>> ParallelFragmentRun::BuildPipeline(
     int slot) {
   ExecContext ctx = options_.ctx;
   ctx.shared_builds = &shared_builds_;
+  const SlaveGranules granules{&granules_, &degree_, slot};
   DrivingLeafFactory factory =
-      [this, slot](const PlanNode* leaf) -> StatusOr<std::unique_ptr<Operator>> {
+      [this, slot, granules](
+          const PlanNode* leaf) -> StatusOr<std::unique_ptr<Operator>> {
     if (driving_is_temp_) {
       // Not profiled: a temp source re-emits the producing fragment's
       // already-counted output.
       const Fragment& frag = graph_->fragment(frag_id_);
       const TempResult* temp = inputs_.at(frag.blocked_inputs.at(leaf));
-      return std::unique_ptr<Operator>(std::make_unique<DrivenTempSourceOp>(
-          temp, page_scan_.get(), slot));
+      return std::unique_ptr<Operator>(
+          std::make_unique<DrivenTempSourceOp>(temp, granules));
     }
     if (leaf->kind == PlanKind::kSeqScan) {
-      return MaybeProfile(
-          std::make_unique<DrivenSeqScanOp>(leaf->table, leaf->predicate,
-                                            options_.ctx, page_scan_.get(),
-                                            slot),
-          leaf, options_.ctx.profile);
+      return MaybeProfile(std::make_unique<DrivenSeqScanOp>(
+                              leaf->table, leaf->predicate, granules),
+                          leaf, options_.ctx.profile);
     }
     return MaybeProfile(
         std::make_unique<DrivenIndexScanOp>(leaf->table, leaf->predicate,
@@ -83,33 +80,44 @@ StatusOr<std::unique_ptr<Operator>> ParallelFragmentRun::BuildPipeline(
                                           factory);
 }
 
+bool ParallelFragmentRun::KeepSlotLocked(int slot) const {
+  return range_scan_ == nullptr && first_error_.ok() &&
+         slot < degree_.load() && !granules_.exhausted();
+}
+
 void ParallelFragmentRun::SlaveMain(int slot) {
-  auto pipeline = BuildPipeline(slot);
-  std::vector<Tuple> local;
-  Status status = pipeline.ok() ? Status::OK() : pipeline.status();
-  if (status.ok()) {
-    auto rows = Drain(pipeline.value().get());
-    if (rows.ok()) {
-      local = std::move(rows).value();
-    } else {
-      status = rows.status();
-    }
-  }
-
-  if (!status.ok()) {
-    // Abort: withdraw from the partition so a rendezvous never waits on us.
-    if (page_scan_) page_scan_->Retire(slot);
-    if (range_scan_) range_scan_->Retire(slot);
-  }
-
   bool is_last = false;
-  {
+  for (bool again = true; again;) {
+    auto pipeline = BuildPipeline(slot);
+    std::vector<Tuple> local;
+    Status status = pipeline.ok() ? Status::OK() : pipeline.status();
+    if (status.ok()) {
+      auto rows = Drain(pipeline.value().get());
+      if (rows.ok()) {
+        local = std::move(rows).value();
+      } else {
+        status = rows.status();
+      }
+    }
+
+    if (!status.ok()) {
+      // Abort: stop the other slaves at their next granule, and withdraw
+      // from the range partition so a rendezvous never waits on us.
+      granules_.Close();
+      if (range_scan_) range_scan_->Retire(slot);
+    }
+
     std::lock_guard<std::mutex> lock(mutex_);
     if (!status.ok() && first_error_.ok()) first_error_ = status;
     output_.insert(output_.end(), std::make_move_iterator(local.begin()),
                    std::make_move_iterator(local.end()));
+    // A slot whose degree was lowered and raised again between its last
+    // granule and here keeps its thread: the slot never has two.
+    again = KeepSlotLocked(slot);
+    if (again) continue;
+    if (range_scan_ == nullptr) slot_running_[slot] = false;
     --running_slaves_;
-    bool scan_done = page_scan_ ? page_scan_->Done() : range_scan_->Done();
+    bool scan_done = range_scan_ ? range_scan_->Done() : granules_.exhausted();
     if (running_slaves_ == 0 && (scan_done || !first_error_.ok())) {
       finished_ = true;
       finish_ns_ = ProfileNowNs();
@@ -123,6 +131,10 @@ void ParallelFragmentRun::SlaveMain(int slot) {
 }
 
 void ParallelFragmentRun::SpawnLocked(int slot) {
+  if (range_scan_ == nullptr) {
+    XPRS_CHECK(!slot_running_[slot]);
+    slot_running_[slot] = true;
+  }
   ++running_slaves_;
   threads_.emplace_back([this, slot] { SlaveMain(slot); });
 }
@@ -138,25 +150,38 @@ Status ParallelFragmentRun::Start() {
     if (on_finish_) on_finish_();
     return Status::OK();
   }
+  if (driving_is_temp_) {
+    granules_.OpenGranules(total_granules_);
+  } else if (range_scan_ == nullptr) {
+    granules_.Open(&driving_leaf_->table->file(), &options_.ctx);
+  }
   for (int i = 0; i < options_.initial_parallelism; ++i) SpawnLocked(i);
   return Status::OK();
 }
 
 void ParallelFragmentRun::Adjust(int new_parallelism) {
   new_parallelism = std::clamp(new_parallelism, 1, options_.max_slots);
+  if (range_scan_ == nullptr) {
+    // Re-weight the dispenser: no slot owns a granule, so nothing to wait
+    // for. Slots below the new degree that have no thread get one.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!started_ || finished_) return;
+    degree_.store(new_parallelism);
+    ++num_adjustments_;
+    if (granules_.exhausted()) return;
+    for (int slot = 0; slot < new_parallelism; ++slot)
+      if (!slot_running_[slot]) SpawnLocked(slot);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!started_ || finished_) return;
-    current_parallelism_ = new_parallelism;
+    degree_.store(new_parallelism);
   }
   // The rendezvous must run without holding our mutex (slaves take it when
   // finishing); the partition state has its own synchronization.
-  std::vector<int> to_start;
-  if (page_scan_) {
-    to_start = page_scan_->Adjust(new_parallelism).slots_to_start;
-  } else {
-    to_start = range_scan_->Adjust(new_parallelism).slots_to_start;
-  }
+  std::vector<int> to_start =
+      range_scan_->Adjust(new_parallelism).slots_to_start;
   std::lock_guard<std::mutex> lock(mutex_);
   if (finished_) return;
   for (int slot : to_start) SpawnLocked(slot);
@@ -231,10 +256,10 @@ StatusOr<TempResult> ParallelFragmentRun::Wait() {
     stats.frag_id = frag_id_;
     stats.root_label = OperatorLabel(*root);
     stats.partition_kind =
-        driving_is_temp_ ? "batches" : (page_scan_ ? "pages" : "range");
+        driving_is_temp_ ? "batches" : (range_scan_ ? "range" : "pages");
     stats.granules = total_granules_;
     stats.initial_parallelism = options_.initial_parallelism;
-    stats.final_parallelism = current_parallelism_;
+    stats.final_parallelism = degree_.load();
     stats.adjustments = num_adjustments();
     stats.slaves_spawned = static_cast<int>(threads_.size());
     stats.wall_seconds = 1e-9 * static_cast<double>(finish_ns_ - start_ns_);
@@ -246,8 +271,8 @@ StatusOr<TempResult> ParallelFragmentRun::Wait() {
 
 double ParallelFragmentRun::Progress() const {
   if (total_granules_ == 0) return 1.0;
-  if (page_scan_) {
-    return static_cast<double>(page_scan_->pages_taken()) / total_granules_;
+  if (range_scan_ == nullptr) {
+    return static_cast<double>(granules_.taken()) / total_granules_;
   }
   // Range scans do not expose taken-entry counts directly; approximate
   // with doneness.
@@ -259,14 +284,11 @@ bool ParallelFragmentRun::finished() const {
   return finished_;
 }
 
-int ParallelFragmentRun::parallelism() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return current_parallelism_;
-}
+int ParallelFragmentRun::parallelism() const { return degree_.load(); }
 
 int ParallelFragmentRun::num_adjustments() const {
-  return page_scan_ ? page_scan_->num_adjustments()
-                    : range_scan_->num_adjustments();
+  return range_scan_ ? range_scan_->num_adjustments()
+                     : num_adjustments_.load();
 }
 
 }  // namespace xprs

@@ -2,14 +2,28 @@
 // backends (threads) whose degree of parallelism can be adjusted while the
 // fragment runs — the run-time half of the XPRS parallel executor.
 //
-// The driving source of the fragment's pipeline determines the partition
-// mechanism (§2.4):
-//   - sequential scan          -> page partitioning  (AdjustablePageScan)
-//   - unclustered index scan   -> range partitioning (AdjustableRangeScan)
-//   - materialized input       -> page partitioning over tuple batches
+// The driving source of the fragment's pipeline determines how its work is
+// divided into granules (§2.4):
+//   - sequential scan      -> pages, from one shared ScanCursor
+//   - materialized input   -> tuple batches, from one shared ScanCursor
+//   - unclustered index    -> key ranges (AdjustableRangeScan, Figure 6)
+//
+// Heap pages and temp batches go to the slaves from one dispenser per run
+// (exec/scan_cursor.h): a slave takes its next granule when it finishes the
+// last, so no slave owns a page. Through a buffer pool the cursor is the
+// one a serial scan uses, and the run is a member of the file's scan
+// convoy: it registers once, starts at the convoy's page, reads ahead
+// across the stripe and recycles the pages it passes, so the file sees the
+// IO of one scan while the run's CPU work spreads over its slaves.
+//
+// An adjustment (§2.4) re-weights the dispenser instead of running the
+// Figure 5 maxpage rendezvous: raising the degree starts slots, lowering
+// it makes slots >= n' exit at their next granule boundary, a slot has at
+// most one thread, and Adjust never waits for the slaves. Range-partitioned
+// runs keep the Figure 6 protocol, whose Adjust waits for the rendezvous.
 //
 // Every slave runs its own copy of the pipeline; the pipelines share the
-// partition state, the buffer pool, the disk array (shared memory) and one
+// granules, the buffer pool, the disk array (shared memory) and one
 // read-only table per hash join, built once by the first slave to open it
 // (exec/shared_build.h).
 // Worker outputs are concatenated; fragments rooted at a Sort re-sort the
@@ -18,6 +32,7 @@
 #ifndef XPRS_PARALLEL_FRAGMENT_RUN_H_
 #define XPRS_PARALLEL_FRAGMENT_RUN_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -27,7 +42,7 @@
 #include <vector>
 
 #include "exec/fragment.h"
-#include "parallel/page_partition.h"
+#include "exec/scan_cursor.h"
 #include "parallel/range_partition.h"
 
 namespace xprs {
@@ -54,7 +69,8 @@ class ParallelFragmentRun {
   Status Start();
 
   /// Master side: dynamically adjusts the degree of parallelism (§2.4).
-  /// Ignored after the fragment finished.
+  /// Ignored after the fragment finished. Does not wait for the slaves,
+  /// except on a range-partitioned run (the Figure 6 rendezvous).
   void Adjust(int new_parallelism);
 
   /// Called (from a slave thread) when the last slave finishes. Set before
@@ -77,6 +93,9 @@ class ParallelFragmentRun {
 
  private:
   void SlaveMain(int slot);
+  // Whether slot `slot` runs its pipeline again after it ended: the slot
+  // is still below the degree and granules are left.
+  bool KeepSlotLocked(int slot) const;
   void SpawnLocked(int slot);
   StatusOr<std::unique_ptr<Operator>> BuildPipeline(int slot);
 
@@ -85,12 +104,15 @@ class ParallelFragmentRun {
   const std::map<int, const TempResult*> inputs_;
   const Options options_;
 
-  // Exactly one of these is used, per the driving leaf kind.
-  std::unique_ptr<AdjustablePageScan> page_scan_;
+  // The granules: pages or temp batches from `granules_`, or key ranges
+  // from `range_scan_`, per the driving leaf kind.
+  ScanCursor granules_;
   std::unique_ptr<AdjustableRangeScan> range_scan_;
   const PlanNode* driving_leaf_ = nullptr;
   bool driving_is_temp_ = false;
   uint32_t total_granules_ = 0;
+  // Slots below it take granules; read by the slaves without the mutex.
+  std::atomic<int> degree_{0};
 
   // The run's hash-join tables; a re-created run builds afresh.
   SharedHashBuilds shared_builds_;
@@ -106,7 +128,8 @@ class ParallelFragmentRun {
   std::vector<Tuple> output_;
   Status first_error_;
   int running_slaves_ = 0;
-  int current_parallelism_ = 0;
+  std::vector<bool> slot_running_;  // by slot; granule runs only
+  std::atomic<int> num_adjustments_{0};  // granule runs only
   bool started_ = false;
   bool finished_ = false;
   std::function<void()> on_finish_;

@@ -422,6 +422,7 @@ bool PoisonLog::RecordFailure(const std::string& sql, int64_t session_id,
     }
   if (entry == nullptr) {
     entries_.emplace_back();
+    num_entries_.store(entries_.size(), std::memory_order_release);
     entry = &entries_.back();
     entry->query = sql;
   }
@@ -440,6 +441,15 @@ bool PoisonLog::RecordFailure(const std::string& sql, int64_t session_id,
     return true;
   }
   return false;
+}
+
+void PoisonLog::RecordSuccess(const std::string& sql) {
+  if (num_entries_.load(std::memory_order_acquire) == 0) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::erase_if(entries_, [&sql](const PoisonEntry& e) {
+    return !e.quarantined && e.query == sql;
+  });
+  num_entries_.store(entries_.size(), std::memory_order_release);
 }
 
 bool PoisonLog::IsQuarantined(const std::string& sql) const {

@@ -282,7 +282,7 @@ class CircuitBreaker : public AttemptGate {
 struct PoisonEntry {
   std::string query;       ///< submitted SQL
   int64_t session_id = 0;  ///< session of the last failing submission
-  int failures = 0;        ///< whole-statement failures across submissions
+  int failures = 0;        ///< consecutive whole-statement failures
   int attempts = 0;        ///< execution attempts including retries
   std::string last_status;
   GrantSnapshot last_grant;
@@ -298,9 +298,10 @@ struct PoisonEntry {
 /// Thread-safe.
 class PoisonLog {
  public:
-  /// Statements that fail `quarantine_failures` times (terminal failures,
-  /// after the statement retry) are quarantined. <= 0 disables
-  /// recording and quarantining entirely.
+  /// Statements that fail `quarantine_failures` times in a row (terminal
+  /// failures, after the statement retry) are quarantined; a successful
+  /// completion clears the count. <= 0 disables recording and
+  /// quarantining entirely.
   explicit PoisonLog(int quarantine_failures = 3,
                      const Observability& obs = Observability());
 
@@ -315,6 +316,11 @@ class PoisonLog {
   bool RecordFailure(const std::string& sql, int64_t session_id,
                      const GrantSnapshot& grant, const Status& status,
                      int attempts, uint64_t seed = 0);
+
+  /// Records a successful completion of `sql`: drops its entry unless it
+  /// is quarantined, so only consecutive failures count. Takes no lock
+  /// while the log is empty.
+  void RecordSuccess(const std::string& sql);
 
   bool IsQuarantined(const std::string& sql) const;
 
@@ -338,6 +344,7 @@ class PoisonLog {
 
   mutable std::mutex mutex_;
   std::vector<PoisonEntry> entries_;  // few entries expected: linear scan
+  std::atomic<size_t> num_entries_{0};  // entries_.size(), read unlocked
 
   Counter* m_quarantined_ = nullptr;
   Counter* m_rejected_ = nullptr;

@@ -234,6 +234,8 @@ StatusOr<SubmittedQuery> ServingEngine::SubmitQuery(
         poison_log_.RecordFailure(stmt->sql, session_id, snap, st, attempts,
                                   replay_seed);
       }
+    } else {
+      poison_log_.RecordSuccess(stmt->sql);
     }
     if (lifecycle != nullptr && result.ok() && result->profile != nullptr)
       lifecycle->AttachProfile(result->profile);

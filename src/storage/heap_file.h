@@ -21,8 +21,9 @@ namespace xprs {
 /// A relation's pages. Loading is single-writer (setup phase); reads are
 /// thread-safe and go through the disk array's timing model.
 ///
-/// The file also keeps the registry of its live synchronized scans: serial
-/// scans register for as long as they run and report the page they are on,
+/// The file also keeps the registry of its live synchronized scans: pooled
+/// scans (a serial one, or the slaves of a parallel run as one) register
+/// for as long as they run and report the page they are on,
 /// so a scan that starts while others run can join the most recently
 /// started one at its current page and share its page reads. The registry
 /// also answers which pages a live scan still has ahead of it, so a scan

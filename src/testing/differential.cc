@@ -62,6 +62,17 @@ uint32_t LargestScanned(const PlanNode& plan) {
   return pages;
 }
 
+// A file `plan` scans that still has a live scan registered, or null.
+const Table* TableWithLiveScan(const PlanNode& plan) {
+  if (plan.kind == PlanKind::kSeqScan && plan.table->file().live_scans() > 0)
+    return plan.table;
+  for (const PlanNode* child : {plan.left.get(), plan.right.get()}) {
+    if (child == nullptr) continue;
+    if (const Table* table = TableWithLiveScan(*child)) return table;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::vector<size_t> DifferentialOracle::PoolSizes(
@@ -86,11 +97,19 @@ Status DifferentialOracle::CheckPoolDrained(const BufferPool& pool,
                                             const std::string& label,
                                             const PlanNode* plan) {
   report_.pool_recycled += pool.stats().recycled;
-  if (pool.PinnedFrames() == 0) return Status::OK();
-  return Status::Internal(StrFormat(
-      "%s run left %d pinned frames%s", label.c_str(),
-      static_cast<int>(pool.PinnedFrames()),
-      plan != nullptr ? ("\nplan:\n" + plan->ToString()).c_str() : ""));
+  const std::string where =
+      plan != nullptr ? "\nplan:\n" + plan->ToString() : std::string();
+  if (pool.PinnedFrames() != 0) {
+    return Status::Internal(StrFormat("%s run left %d pinned frames%s",
+                                      label.c_str(),
+                                      static_cast<int>(pool.PinnedFrames()),
+                                      where.c_str()));
+  }
+  const Table* open = plan != nullptr ? TableWithLiveScan(*plan) : nullptr;
+  if (open == nullptr) return Status::OK();
+  return Status::Internal(StrFormat("%s run left a live scan of %s%s",
+                                    label.c_str(), open->name().c_str(),
+                                    where.c_str()));
 }
 
 DifferentialOracle::DifferentialOracle(DiskArray* array,
@@ -146,7 +165,7 @@ Status DifferentialOracle::Compare(const PlanNode& plan,
 }
 
 StatusOr<std::vector<Tuple>> DifferentialOracle::RunParallelFragments(
-    const PlanNode& plan, int degree, bool vectorized) {
+    const PlanNode& plan, int degree, bool vectorized, BufferPool* pool) {
   FragmentGraph graph = FragmentGraph::Decompose(plan);
   std::map<int, TempResult> done;
   for (int id : graph.TopologicalOrder()) {
@@ -157,6 +176,7 @@ StatusOr<std::vector<Tuple>> DifferentialOracle::RunParallelFragments(
     run_options.initial_parallelism = degree;
     run_options.max_slots = std::max(options_.max_slots, degree);
     run_options.ctx.vectorized = vectorized;
+    run_options.ctx.pool = pool;
     ParallelFragmentRun run(&graph, id, std::move(inputs), run_options);
     XPRS_RETURN_IF_ERROR(run.Start());
     if (options_.adjust_during_run) {
@@ -172,6 +192,33 @@ StatusOr<std::vector<Tuple>> DifferentialOracle::RunParallelFragments(
     done[id] = std::move(result).value();
   }
   return std::move(done.at(graph.root_fragment()).tuples);
+}
+
+Status DifferentialOracle::CheckPooledParallel(const PlanNode& plan,
+                                               const Canon& reference,
+                                               const std::vector<int>& degrees,
+                                               bool vectorized) {
+  // Each slave pins at most one page per scan leaf, and the mid-run
+  // bounce can briefly run max_slots of them.
+  int slaves = options_.max_slots;
+  for (int degree : degrees) slaves = std::max(slaves, degree);
+  const size_t pins = ScanLeaves(plan) * static_cast<size_t>(slaves);
+  for (size_t frames : PoolSizes({&plan}, pins)) {
+    for (int degree : degrees) {
+      BufferPool pool(array_, frames);
+      const std::string label = PoolLabel(
+          StrFormat("%spooled-parallel(%d)", vectorized ? "vectorized-" : "",
+                    degree)
+              .c_str(),
+          frames);
+      XPRS_ASSIGN_OR_RETURN(
+          std::vector<Tuple> got,
+          RunParallelFragments(plan, degree, vectorized, &pool));
+      XPRS_RETURN_IF_ERROR(Compare(plan, label, reference, got));
+      XPRS_RETURN_IF_ERROR(CheckPoolDrained(pool, label, &plan));
+    }
+  }
+  return Status::OK();
 }
 
 StatusOr<std::vector<Tuple>> DifferentialOracle::RunMaster(
@@ -273,6 +320,10 @@ Status DifferentialOracle::CheckPlan(const PlanNode& plan) {
       XPRS_RETURN_IF_ERROR(Compare(plan, label, reference, got));
       XPRS_RETURN_IF_ERROR(CheckPoolDrained(pool, label, &plan));
     }
+    // The slaves of each fragment run share one cooperative cursor over
+    // the pool (parallel/fragment_run.h).
+    XPRS_RETURN_IF_ERROR(
+        CheckPooledParallel(plan, reference, options_.degrees, false));
   }
 
   if (options_.run_vectorized) {
@@ -349,6 +400,10 @@ Status DifferentialOracle::CheckPlan(const PlanNode& plan) {
       XPRS_RETURN_IF_ERROR(
           Compare(plan, StrFormat("vectorized-parallel(%d)", degree),
                   reference, got));
+      if (options_.run_buffer_pool) {
+        XPRS_RETURN_IF_ERROR(
+            CheckPooledParallel(plan, reference, {degree}, true));
+      }
     }
   }
   return Status::OK();

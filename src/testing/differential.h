@@ -203,9 +203,16 @@ class DifferentialOracle {
   Status Compare(const PlanNode& plan, const std::string& mode,
                  const Canon& reference, const std::vector<Tuple>& got);
 
+  // Runs `plan` fragment by fragment, each fragment on `degree` slaves,
+  // through `pool` when given.
   StatusOr<std::vector<Tuple>> RunParallelFragments(const PlanNode& plan,
                                                     int degree,
-                                                    bool vectorized = false);
+                                                    bool vectorized = false,
+                                                    BufferPool* pool = nullptr);
+  // The parallel modes over a pool at every PoolSizes() size, at each of
+  // `degrees`.
+  Status CheckPooledParallel(const PlanNode& plan, const Canon& reference,
+                             const std::vector<int>& degrees, bool vectorized);
   // `chaos` publishes the master's events on options_.chaos_obs.
   StatusOr<std::vector<Tuple>> RunMaster(const PlanNode& plan,
                                          bool chaos = false);
@@ -236,8 +243,9 @@ class DifferentialOracle {
   // Pooled-mode label: `mode`, suffixed with the frame count when the pool
   // is not the configured one.
   std::string PoolLabel(const char* mode, size_t frames) const;
-  // After a pooled run: fails on pinned frames (naming `plan` when given),
-  // and counts the frames the pool recycled.
+  // After a pooled run: fails on pinned frames and, when `plan` is given,
+  // on a scanned file left with a live scan (naming `plan`); counts the
+  // frames the pool recycled.
   Status CheckPoolDrained(const BufferPool& pool, const std::string& label,
                           const PlanNode* plan);
 

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <thread>
 
 #include "exec/batch_ops.h"
 #include "exec/executor.h"
 #include "exec/fragment.h"
 #include "exec/plan.h"
+#include "exec/scan_cursor.h"
 #include "resilience/cancellation.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
@@ -549,6 +554,99 @@ TEST_F(ScanCursorTest, CancelledScanDeregisters) {
   }
   EXPECT_EQ(t_->file().live_scans(), 0u);
   EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
+// Three takers of one cursor (the slaves of a parallel fragment run) get
+// every page of the file exactly once, and the cursor reads ahead for them
+// and leaves the registry after the last page is passed.
+TEST_F(ScanCursorTest, SharedCursorHandsEachPageToOneTaker) {
+  BufferPool pool(array_.get(), 32);
+  ExecContext ctx;
+  ctx.pool = &pool;
+  ScanCursor cursor;
+  cursor.Open(&t_->file(), &ctx);
+  EXPECT_EQ(t_->file().live_scans(), 1u);
+  std::mutex mutex;
+  std::vector<uint32_t> pages;
+  std::atomic<int> errors{0};
+  std::vector<std::thread> takers;
+  for (int i = 0; i < 3; ++i) {
+    takers.emplace_back([&] {
+      Page direct;
+      while (std::optional<uint32_t> page = cursor.Take()) {
+        PageHandle handle;
+        const Page* loaded = nullptr;
+        if (!cursor.Load(*page, &handle, &direct, &loaded).ok()) ++errors;
+        handle.Release();
+        cursor.Pass(*page);
+        std::lock_guard<std::mutex> lock(mutex);
+        pages.push_back(*page);
+      }
+    });
+  }
+  for (std::thread& t : takers) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  std::sort(pages.begin(), pages.end());
+  ASSERT_EQ(pages.size(), 64u);
+  for (uint32_t p = 0; p < 64; ++p) EXPECT_EQ(pages[p], p);
+  EXPECT_EQ(cursor.taken(), 64u);
+  EXPECT_TRUE(cursor.exhausted());
+  EXPECT_GT(pool.stats().prefetches, 0u);  // read-ahead engaged
+  EXPECT_EQ(t_->file().live_scans(), 0u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
+// The registry position of a shared cursor is the oldest page a taker
+// still holds, so the file's other scans see that page as needed while
+// the takers past it have moved on.
+TEST_F(ScanCursorTest, PositionIsTheOldestPageStillHeld) {
+  BufferPool pool(array_.get(), 32);
+  ExecContext ctx;
+  ctx.pool = &pool;
+  ScanCursor cursor;
+  cursor.Open(&t_->file(), &ctx);
+  const HeapFile& file = t_->file();
+  for (uint32_t p = 0; p < 5; ++p) {
+    EXPECT_EQ(cursor.Take(), p);
+    cursor.Pass(p);
+  }
+  EXPECT_EQ(cursor.Take(), 5u);
+  EXPECT_EQ(cursor.Take(), 6u);
+  EXPECT_EQ(cursor.Take(), 7u);
+  cursor.Pass(6);
+  cursor.Pass(7);
+  EXPECT_TRUE(file.PageNeededByOtherScan(0, 5));
+  EXPECT_FALSE(file.PageNeededByOtherScan(0, 4));
+  // A scan that starts now joins at the held page.
+  ScanCursor joiner;
+  joiner.Open(&file, &ctx);
+  EXPECT_EQ(joiner.Take(), 5u);
+  joiner.Close();
+  cursor.Pass(5);
+  EXPECT_FALSE(file.PageNeededByOtherScan(0, 5));
+  EXPECT_FALSE(file.PageNeededByOtherScan(0, 7));
+  EXPECT_TRUE(file.PageNeededByOtherScan(0, 8));
+  cursor.Close();
+  EXPECT_EQ(cursor.Take(), std::nullopt);
+  EXPECT_EQ(file.live_scans(), 0u);
+}
+
+// Without a pool, a shared cursor hands out the pages in file order and
+// registers nothing; a granule cursor hands out 0..n-1.
+TEST_F(ScanCursorTest, UnpooledAndGranuleCursorsGoInOrder) {
+  ExecContext ctx;
+  ScanCursor cursor;
+  cursor.Open(&t_->file(), &ctx);
+  EXPECT_EQ(t_->file().live_scans(), 0u);
+  for (uint32_t p = 0; p < 64; ++p) EXPECT_EQ(cursor.Take(), p);
+  EXPECT_EQ(cursor.Take(), std::nullopt);
+
+  ScanCursor granules;
+  granules.OpenGranules(3);
+  for (uint32_t g = 0; g < 3; ++g) EXPECT_EQ(granules.Take(), g);
+  EXPECT_EQ(granules.Take(), std::nullopt);
+  granules.OpenGranules(0);
+  EXPECT_TRUE(granules.exhausted());
 }
 
 // --- scan-aware recycling --------------------------------------------------

@@ -254,6 +254,36 @@ TEST(PoisonLogTest, QuarantinesAfterThresholdAndFastRejects) {
   EXPECT_NE(log.DumpJsonLines().find("cursed"), std::string::npos);
 }
 
+// Only consecutive terminal failures count: an honest statement that fails
+// now and then through faults that are not its own is never quarantined,
+// while one that keeps failing still is.
+TEST(PoisonLogTest, SuccessClearsTheFailureCount) {
+  PoisonLog log(4);
+  const std::string sql = "SELECT * FROM honest";
+  log.RecordSuccess(sql);  // nothing to clear in an empty log
+  EXPECT_EQ(log.size(), 0u);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_FALSE(log.RecordFailure(sql, 1, GrantSnapshot{},
+                                   Status::IoError("storm"), 1));
+  log.RecordSuccess(sql);
+  EXPECT_EQ(log.size(), 0u);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_FALSE(log.RecordFailure(sql, 1, GrantSnapshot{},
+                                   Status::IoError("storm"), 1));
+  EXPECT_FALSE(log.IsQuarantined(sql));
+  EXPECT_TRUE(log.RejectIfQuarantined(sql).ok());
+  ASSERT_EQ(log.entries().size(), 1u);
+  EXPECT_EQ(log.entries()[0].failures, 3);
+
+  // The fourth failure in a row quarantines it, and a success that
+  // races in afterwards does not lift the quarantine.
+  EXPECT_TRUE(log.RecordFailure(sql, 1, GrantSnapshot{},
+                                Status::IoError("storm"), 1));
+  log.RecordSuccess(sql);
+  EXPECT_TRUE(log.IsQuarantined(sql));
+  EXPECT_FALSE(log.RejectIfQuarantined(sql).ok());
+}
+
 TEST(PoisonLogTest, DisabledLogRecordsNothing) {
   PoisonLog log(0);
   EXPECT_FALSE(log.enabled());

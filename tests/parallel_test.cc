@@ -5,17 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "exec/executor.h"
 #include "exec/fragment.h"
+#include "exec/profile.h"
+#include "obs/metrics.h"
 #include "parallel/fragment_run.h"
 #include "parallel/page_partition.h"
 #include "parallel/range_partition.h"
@@ -272,27 +277,52 @@ TEST_F(FragmentRunTest, SeqScanFragmentMatchesSequential) {
   EXPECT_EQ(result->tuples.size(), 201u * 6);  // 201 keys x 6 dups
 }
 
-// Holds every page read of a heap file until opened.
+// Holds the page reads of a heap file (every read, or only those of one
+// block) until opened, and counts the threads it holds.
 class ReadGate : public FaultInjector {
  public:
+  ReadGate() = default;
+  explicit ReadGate(BlockId only) : only_(only) {}
+
   void Open() {
     std::lock_guard<std::mutex> lock(mutex_);
     open_ = true;
     cv_.notify_all();
   }
-  Status BeforeRead(BlockId) override {
+  int waiting() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return waiting_;
+  }
+  Status BeforeRead(BlockId block) override {
+    if (only_.has_value() && block != *only_) return Status::OK();
     std::unique_lock<std::mutex> lock(mutex_);
+    ++waiting_;
     cv_.wait(lock, [this] { return open_; });
+    --waiting_;
     return Status::OK();
   }
   Status BeforeWrite(BlockId, size_t*) override { return Status::OK(); }
   Status BeforeFetch(BlockId) override { return Status::OK(); }
 
  private:
-  std::mutex mutex_;
+  const std::optional<BlockId> only_;
+  mutable std::mutex mutex_;
   std::condition_variable cv_;
   bool open_ = false;
+  int waiting_ = 0;
 };
+
+// Spins until `done` holds, for at most ten seconds.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 TEST_F(FragmentRunTest, AdjustmentsDuringRunPreserveResult) {
   auto plan = MakeSeqScan(r_, Predicate());
@@ -303,19 +333,20 @@ TEST_F(FragmentRunTest, AdjustmentsDuringRunPreserveResult) {
   opts.max_slots = 8;
   opts.ctx = ctx_;
   // The slaves block in their first page read until the first adjustment
-  // is under way, so the scan cannot finish before it lands.
+  // has landed, so the scan cannot finish before it.
   ReadGate gate;
   r_->file().SetFaultInjector(&gate);
   ParallelFragmentRun run(&graph, graph.root_fragment(), {}, opts);
   ASSERT_TRUE(run.Start().ok());
-  // Adjust waits for every slave to park at a page boundary, so it runs on
-  // its own thread while the gate holds them mid-read. Once the new degree
-  // is visible it has passed the run's finished check, and the rendezvous
-  // completes as soon as the gate opens.
-  std::thread adjuster([&run] { run.Adjust(6); });
-  while (run.parallelism() != 6) std::this_thread::yield();
+  // No slave owns a page, so Adjust re-weights the run's dispenser without
+  // waiting for the slaves held mid-read: it returns with the new degree
+  // in place before the gate opens.
+  auto adjusted = std::async(std::launch::async, [&run] { run.Adjust(6); });
+  EXPECT_EQ(adjusted.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_EQ(run.parallelism(), 6);
   gate.Open();
-  adjuster.join();
+  adjusted.wait();
   run.Adjust(1);
   run.Adjust(4);
   auto result = run.Wait();
@@ -323,6 +354,217 @@ TEST_F(FragmentRunTest, AdjustmentsDuringRunPreserveResult) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tuples.size(), 3000u);
   EXPECT_GE(run.num_adjustments(), 1);
+}
+
+// Grow, shrink and grow again while every slave is held mid-read: each
+// Adjust returns at once, the slots lowered and raised again keep their
+// one thread (ParallelFragmentRun checks that no slot gets a second), and
+// the run returns the reference rows with no page left pinned.
+TEST_F(FragmentRunTest, GrowShrinkGrowKeepsOneThreadPerSlot) {
+  BufferPool pool(array_.get(), 64);
+  ExecContext ctx = ctx_;
+  ctx.pool = &pool;
+  auto plan = MakeSeqScan(r_, Predicate());
+  FragmentGraph graph = FragmentGraph::Decompose(*plan);
+  auto expected = ExecutePlanSequential(*plan, ctx_);
+  ASSERT_TRUE(expected.ok());
+  QueryProfile profile(plan.get());
+  ctx.profile = &profile;
+
+  ParallelFragmentRun::Options opts;
+  opts.initial_parallelism = 2;
+  opts.max_slots = 4;
+  opts.ctx = ctx;
+  ReadGate gate;
+  array_->SetFaultInjector(&gate);
+  ParallelFragmentRun run(&graph, graph.root_fragment(), {}, opts);
+  ASSERT_TRUE(run.Start().ok());
+  EXPECT_TRUE(WaitFor([&gate] { return gate.waiting() == 2; }));
+  auto adjusted = std::async(std::launch::async, [&run, &gate] {
+    run.Adjust(4);
+    WaitFor([&gate] { return gate.waiting() == 4; });
+    run.Adjust(1);
+    run.Adjust(4);
+  });
+  EXPECT_EQ(adjusted.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_EQ(gate.waiting(), 4);
+  EXPECT_EQ(run.parallelism(), 4);
+  gate.Open();
+  adjusted.wait();
+  auto result = run.Wait();
+  array_->SetFaultInjector(nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(Normalize(result->tuples), Normalize(*expected));
+  EXPECT_EQ(run.num_adjustments(), 3);
+  ASSERT_EQ(profile.fragments().size(), 1u);
+  EXPECT_EQ(profile.fragments()[0].slaves_spawned, 4);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+  EXPECT_EQ(r_->file().live_scans(), 0u);
+}
+
+// While one slave is held in the read of its page, the run's registry
+// position stays on that page, so the file's other scans see it as needed
+// even after the other slaves have taken every later page.
+TEST_F(FragmentRunTest, PageHeldMidReadIsNeededByOtherScans) {
+  BufferPool pool(array_.get(), 64);
+  ExecContext ctx = ctx_;
+  ctx.pool = &pool;
+  const uint32_t held = 2;
+  ASSERT_GT(r_->file().num_pages(), held + 2);
+  auto plan = MakeSeqScan(r_, Predicate());
+  FragmentGraph graph = FragmentGraph::Decompose(*plan);
+  ParallelFragmentRun::Options opts;
+  opts.initial_parallelism = 3;
+  opts.ctx = ctx;
+  ReadGate gate(r_->file().BlockOf(held).value());
+  array_->SetFaultInjector(&gate);
+  ParallelFragmentRun run(&graph, graph.root_fragment(), {}, opts);
+  ASSERT_TRUE(run.Start().ok());
+  EXPECT_TRUE(WaitFor([&] {
+    return gate.waiting() == 1 && run.Progress() == 1.0;
+  }));
+  EXPECT_TRUE(r_->file().PageNeededByOtherScan(0, held));
+  EXPECT_EQ(r_->file().live_scans(), 1u);
+  gate.Open();
+  auto result = run.Wait();
+  array_->SetFaultInjector(nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->tuples.size(), 3000u);
+  EXPECT_FALSE(r_->file().PageNeededByOtherScan(0, held));
+  EXPECT_EQ(r_->file().live_scans(), 0u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
+// A read fault fails the run and leaves the file's registry empty, so no
+// later scan joins a position nobody advances.
+TEST_F(FragmentRunTest, ReadFaultLeavesNoLiveScan) {
+  BufferPool pool(array_.get(), 64);
+  ExecContext ctx = ctx_;
+  ctx.pool = &pool;
+  auto plan = MakeSeqScan(r_, Predicate());
+  FragmentGraph graph = FragmentGraph::Decompose(*plan);
+  ParallelFragmentRun::Options opts;
+  opts.initial_parallelism = 3;
+  opts.ctx = ctx;
+  ScriptedFaultInjector faults;
+  ScriptedFaultInjector::Script script;
+  script.fail_nth_read = 3;
+  faults.Arm(script);
+  array_->SetFaultInjector(&faults);
+  ParallelFragmentRun run(&graph, graph.root_fragment(), {}, opts);
+  ASSERT_TRUE(run.Start().ok());
+  auto result = run.Wait();
+  array_->SetFaultInjector(nullptr);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(faults.faults_injected(), 1u);
+  EXPECT_EQ(r_->file().live_scans(), 0u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
+// --- parallel runs in the scan convoy ---------------------------------------
+
+// A 64-page table t(a, b), four tuples per page, a = 0..255 in file order,
+// on a throttled array whose reads take microseconds (so the pool reads
+// ahead on its per-disk IO threads).
+class ConvoyRunTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    DiskTimings timings;
+    timings.time_scale = 0.001;
+    array_ = std::make_unique<DiskArray>(4, DiskMode::kThrottled, timings);
+    catalog_ = std::make_unique<Catalog>(array_.get());
+    t_ = catalog_->CreateTable("t", Schema::PaperSchema()).value();
+    for (int i = 0; i < 256; ++i) {
+      ASSERT_TRUE(t_->file()
+                      .Append(Tuple({Value(int32_t{i}),
+                                     Value(std::string(1900, 'x'))}))
+                      .ok());
+    }
+    ASSERT_TRUE(t_->file().Flush().ok());
+    ASSERT_EQ(t_->file().num_pages(), 64u);
+    plan_ = MakeSeqScan(t_, Predicate());
+    graph_ = FragmentGraph::Decompose(*plan_);
+  }
+
+  // Runs the whole-table scan as one fragment of `slaves` slaves.
+  StatusOr<TempResult> RunScan(const ExecContext& ctx, int slaves) {
+    ParallelFragmentRun::Options opts;
+    opts.initial_parallelism = slaves;
+    opts.ctx = ctx;
+    ParallelFragmentRun run(&graph_, graph_.root_fragment(), {}, opts);
+    XPRS_RETURN_IF_ERROR(run.Start());
+    return run.Wait();
+  }
+
+  static std::vector<int32_t> SortedKeys(const std::vector<Tuple>& rows) {
+    std::vector<int32_t> keys;
+    for (const Tuple& t : rows) keys.push_back(std::get<int32_t>(t.value(0)));
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  static std::vector<int32_t> AllKeys() {
+    std::vector<int32_t> keys(256);
+    for (int i = 0; i < 256; ++i) keys[i] = i;
+    return keys;
+  }
+
+  std::unique_ptr<DiskArray> array_;
+  std::unique_ptr<Catalog> catalog_;
+  Table* t_ = nullptr;
+  std::unique_ptr<PlanNode> plan_;
+  FragmentGraph graph_;
+};
+
+// A 3-slave run that starts while a serial scan of the file is mid-file
+// joins it: it starts at the serial scan's page, and between them the two
+// read each page of the file from disk once.
+TEST_F(ConvoyRunTest, RunJoinsAMidFileSerialScan) {
+  BufferPool pool(array_.get(), 80);
+  MetricsRegistry metrics;
+  ExecContext ctx;
+  ctx.pool = &pool;
+  ctx.obs.metrics = &metrics;
+  array_->ResetStats();
+  SeqScanOp serial(t_, Predicate(), ctx);
+  std::vector<Tuple> serial_rows;
+  Tuple row;
+  bool eof = false;
+  ASSERT_TRUE(serial.Open().ok());
+  while (serial.pages_read() < 33) {  // mid-file: on page 32
+    ASSERT_TRUE(serial.Next(&row, &eof).ok());
+    ASSERT_FALSE(eof);
+    serial_rows.push_back(row);
+  }
+  auto result = RunScan(ctx, 3);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(metrics.counter("scan.sync_joins")->value(), 1u);
+  EXPECT_EQ(SortedKeys(result->tuples), AllKeys());
+  for (;;) {
+    ASSERT_TRUE(serial.Next(&row, &eof).ok());
+    if (eof) break;
+    serial_rows.push_back(row);
+  }
+  ASSERT_TRUE(serial.Close().ok());
+  EXPECT_EQ(SortedKeys(serial_rows), AllKeys());
+  EXPECT_EQ(array_->total_stats().reads, 64u);
+  EXPECT_EQ(t_->file().live_scans(), 0u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
+// A pooled parallel scan keeps the stripe busy with read-ahead, like a
+// serial one, and leaves the registry when done.
+TEST_F(ConvoyRunTest, PooledRunReadsAhead) {
+  BufferPool pool(array_.get(), 32);
+  ExecContext ctx;
+  ctx.pool = &pool;
+  auto result = RunScan(ctx, 3);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(SortedKeys(result->tuples), AllKeys());
+  EXPECT_GT(pool.stats().prefetches, 0u);
+  EXPECT_EQ(t_->file().live_scans(), 0u);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
 }
 
 // A page-partitioned scan of a file larger than the pool recycles the pages

@@ -22,10 +22,11 @@ double NowSeconds() {
       .count();
 }
 
-// Wall-clock measurements on a loaded 1-core container jitter badly; the
-// *upper* bounds are the physical claim (throttling can never be beaten),
-// while the lower bounds are loose sanity floors. Retries absorb load
-// spikes.
+// Wall-clock measurements on a loaded host (the other tests, and the
+// slaves and IO threads of the parallel scans, share its cores) jitter
+// badly; the *upper* bounds are the physical claim (throttling can never
+// be beaten), while the lower bounds are loose sanity floors. Retries
+// absorb load spikes.
 bool RetryRate(const std::function<double()>& measure, double lo, double hi,
                int attempts = 3) {
   double last = 0.0;
